@@ -160,6 +160,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_net(args) -> int:
+    if args.zone is not None and not 0 <= args.zone < args.n:
+        raise ValueError(f"--zone must lie in [0, {args.n - 1}]")
     net = assemble_net(args.n, parse_theta(args.theta))
     stream, close = _open_out(args.svg)
     try:
@@ -170,7 +172,13 @@ def cmd_net(args) -> int:
     return 0
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
+
+
 def cmd_verify(args) -> int:
+    _check_samples(args.samples)
     rep = run_verification(args.n, parse_theta(args.theta), args.samples)
     doc = {"schema": SCHEMA_VERSION, **rep.as_dict()}
     if args.json:
@@ -208,6 +216,9 @@ def _sweep_cell(cell: tuple[int, str, int]) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    _check_samples(args.samples)
     thetas = [t.strip() for t in args.thetas.split(",") if t.strip()]
     cells = [
         (n, t, args.samples)
@@ -225,6 +236,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crescent(args) -> int:
+    if args.steps < 2:
+        raise ValueError("--steps must be at least 2")
     ns: list[float] = []
     step = (args.n_max / args.n_min) ** (1.0 / (args.steps - 1))
     for i in range(args.steps):

@@ -97,20 +97,10 @@ class AngularIntervalSet:
     def measure(self) -> float:
         return sum(e - s for s, e in self.intervals)
 
-    def union(self, other: "AngularIntervalSet") -> "AngularIntervalSet":
-        return AngularIntervalSet.from_intervals(self.intervals + other.intervals)
-
     def rotated(self, delta: float) -> "AngularIntervalSet":
         return AngularIntervalSet.from_intervals(
             tuple((s + delta, e + delta) for s, e in self.intervals)
         )
-
-    def contains_angle(self, phi: float, tol: float = 0.0) -> bool:
-        phi = normalize_angle(phi)
-        for s, e in self.intervals:
-            if s - tol <= phi <= e + tol or s - tol <= phi + TWO_PI <= e + tol:
-                return True
-        return False
 
 
 def shortest_covering_arc(s: AngularIntervalSet) -> float | None:

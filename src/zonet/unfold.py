@@ -47,6 +47,17 @@ class PlanarZone:
     def rhombs(self) -> tuple[ConvexQuad, ...]:
         return tuple(ConvexQuad.from_vertices(c) for c in self.corners)
 
+    @cached_property
+    def radius_ranges(self) -> tuple[tuple[float, float], ...]:
+        """Per-rhomb [min, max] distance from o; C(r) can only meet in-range rhombs."""
+        return tuple(
+            (
+                min(_segment_distance(quad[i - 1], quad[i]) for i in range(4)),
+                max(math.hypot(*p) for p in quad),
+            )
+            for quad in self.corners
+        )
+
     @property
     def left_chain(self) -> tuple[Point2, ...]:
         chain = [c[0] for c in self.corners]
@@ -92,19 +103,16 @@ class PlanarZone:
             tuple(tuple(rot(p) for p in quad) for quad in self.corners),  # type: ignore[arg-type]
         )
 
-    def all_points(self) -> np.ndarray:
-        return np.array([p for quad in self.corners for p in quad])
 
-    def left_turn_angles(self) -> list[float]:
-        """Turn angles of the left boundary chain between adjacent rhombs."""
-        chain = self.left_chain
-        turns = []
-        for i in range(1, len(chain) - 1):
-            v0 = np.subtract(chain[i], chain[i - 1])
-            v1 = np.subtract(chain[i + 1], chain[i])
-            dot = float(np.dot(v0, v1)) / (np.linalg.norm(v0) * np.linalg.norm(v1))
-            turns.append(math.acos(min(1.0, max(-1.0, dot))))
-        return turns
+def _segment_distance(p: Point2, q: Point2) -> float:
+    """Distance from the origin to segment pq."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    dd = dx * dx + dy * dy
+    if dd < 1e-30:
+        return math.hypot(*p)
+    t = -(p[0] * dx + p[1] * dy) / dd
+    t = min(1.0, max(0.0, t))
+    return math.hypot(p[0] + t * dx, p[1] + t * dy)
 
 
 def _place_face(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,37 +42,15 @@ SAMPLES_PER_INTERVAL = 9
 # beta(r) and its profile over all radii
 
 
-@lru_cache(maxsize=32)
-def _rhomb_radius_ranges(zone: PlanarZone) -> tuple[tuple[float, float], ...]:
-    """Per-rhomb [min, max] distance from o; C(r) can only meet in-range rhombs."""
-    ranges = []
-    for quad in zone.corners:
-        dmax = max(math.hypot(*p) for p in quad)
-        dmin = min(_segment_distance(p, q) for p, q in _quad_edges(quad))
-        ranges.append((dmin, dmax))
-    return tuple(ranges)
-
-
 def _quad_edges(quad):
     return [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
-
-
-def _segment_distance(p, q) -> float:
-    """Distance from the origin to segment pq."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    dd = dx * dx + dy * dy
-    if dd < 1e-30:
-        return math.hypot(*p)
-    t = -(p[0] * dx + p[1] * dy) / dd
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] + t * dx, p[1] + t * dy)
 
 
 def zone_arcs(
     zone: PlanarZone, r: float, indices: tuple[int, ...] | None = None
 ) -> AngularIntervalSet:
     """Union of angular intervals of C(r) inside the selected rhombs."""
-    ranges = _rhomb_radius_ranges(zone)
+    ranges = zone.radius_ranges
     idx = range(len(zone.corners)) if indices is None else indices
     pieces = []
     for i in idx:
@@ -255,7 +232,7 @@ def flat_rhomb_check(zone: PlanarZone) -> FlatRhombReport:
     if abs(math.pi - corner - 2.0 * theta) < abs(corner - 2.0 * theta):
         corner = math.pi - corner
 
-    ranges = _rhomb_radius_ranges(zone)
+    ranges = zone.radius_ranges
     lo, hi = ranges[n // 2 - 1]
     worst = 0.0
     for r in sample_radii(zone):
@@ -411,7 +388,7 @@ def run_verification(
         # radii reaching the central rhomb or the lower half are the
         # transition cases where the arc is split across the halves; the
         # exact-alpha claim is for circles meeting the upper half alone
-        ranges = _rhomb_radius_ranges(zone)
+        ranges = zone.radius_ranges
         r_only_upper = min(
             ranges[i][0] for i in (*lower, *(() if flat is None else (flat,)))
         )

@@ -9,6 +9,16 @@ Vertices are sums of cyclically consecutive generator runs, identified by
 (start, length) so deduplication never keys on floats.  Faces are rhombs
 labeled (zone, step): zone i is the parallel class of generator u_i, and step k
 counts from the north pole (step 1 touches the north pole).
+
+build() refuses to return a solid unless validate() confirms five invariants,
+each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
+planar_faces (every face closes as a parallelogram), closed_mesh (every edge
+lies on exactly two faces), central_symmetry (the vertex set is symmetric
+about the midpoint of the poles) and convex (every vertex is a vertex of the
+convex hull and none lies outside a hull facet).  Both functions are array
+programs over all vertices and faces at once; the convexity check tests every
+hull facet against every vertex in fixed-size facet blocks, so its memory
+stays at HULL_BLOCK rows of vertices whatever n is.
 """
 
 from __future__ import annotations
@@ -107,13 +117,11 @@ class Zonohedron:
         return edges
 
 
-def _vertex_keys(n: int) -> list[tuple[int, int]]:
-    keys: list[tuple[int, int]] = [(0, 0)]  # south pole: empty run
-    for length in range(1, n):
-        for start in range(n):
-            keys.append((start, length))
-    keys.append((0, n))  # north pole: the full star
-    return keys
+def _vertex_index(n: int, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Row of the run (start, length) in the vertex array; the empty run is the
+    south pole (row 0) and the full star the north pole (the last row)."""
+    inner = 1 + (length - 1) * n + start
+    return np.where(length == 0, 0, np.where(length == n, n * (n - 1) + 1, inner))
 
 
 def build(p: Params) -> Zonohedron:
@@ -125,32 +133,35 @@ def build(p: Params) -> Zonohedron:
     n = p.n
     gens = generators(p)
 
-    keys = _vertex_keys(n)
-    index = {key: i for i, key in enumerate(keys)}
-    verts = np.zeros((len(keys), 3))
-    for key, i in index.items():
-        start, length = key
-        v = np.zeros(3)
-        for j in range(length):
-            v += gens[(start + j) % n]
-        verts[i] = v
+    # runs[L, s] = gens[s] + gens[s+1] + ... + gens[s+L-1] (indices mod n),
+    # accumulated from zero one generator at a time, so every vertex is the
+    # same left-to-right float sum whatever the run
+    starts = np.arange(n)
+    runs = np.zeros((n + 1, n, 3))
+    for length in range(1, n + 1):
+        runs[length] = runs[length - 1] + gens[(starts + length - 1) % n]
+    verts = np.concatenate([runs[0, :1], runs[1:n].reshape(-1, 3), runs[n, :1]])
+    keys = ((0, 0), *((s, L) for L in range(1, n) for s in range(n)), (0, n))
 
-    faces: list[Face] = []
-    zones: list[tuple[int, ...]] = []
-    for zone in range(n):
-        ids: list[int] = []
-        for step in range(1, n):
-            # step k from the north pole corresponds to a run of length n-k
-            L = n - step
-            a = index[((zone + 1) % n, L - 1) if L - 1 > 0 else (0, 0)]
-            b = index[(zone, L)]
-            d = index[(zone, L + 1) if L + 1 < n else (0, n)]
-            c = index[((zone + 1) % n, L)]
-            faces.append(Face(zone, step, (a, b, d, c)))
-            ids.append(len(faces) - 1)
-        zones.append(tuple(ids))
+    # face (zone, step): step k from the north pole is the run length L = n - k;
+    # cycle order (a, b, d, c) = ((z+1, L-1), (z, L), (z, L+1), (z+1, L))
+    zone, step = np.divmod(np.arange(n * (n - 1)), n - 1)
+    step += 1
+    length = n - step
+    nxt = (zone + 1) % n
+    ids = np.stack(
+        [
+            _vertex_index(n, nxt, length - 1),
+            _vertex_index(n, zone, length),
+            _vertex_index(n, zone, length + 1),
+            _vertex_index(n, nxt, length),
+        ],
+        axis=1,
+    )
+    faces = tuple(map(Face, zone.tolist(), step.tolist(), map(tuple, ids.tolist())))
+    zones = tuple(tuple(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(n))
 
-    z = Zonohedron(p, gens, verts, tuple(keys), tuple(faces), tuple(zones))
+    z = Zonohedron(p, gens, verts, keys, faces, zones)
     report = validate(z)
     if not report.passed:
         raise ConstructionError(f"construction invariant failed: {report.failures()}")
@@ -174,31 +185,25 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     """Check edge lengths, planarity, closedness, symmetry, and convexity."""
     rep = ValidationReport()
     verts = z.vertices
+    ids = np.array([f.vertex_ids for f in z.faces], dtype=np.intp)
+    pts = verts[ids]  # (F, 4, 3) in cycle order (a, b, d, c)
 
-    edge_dev = 0.0
-    planarity = 0.0
-    for f in z.faces:
-        pts = z.face_points(f)
-        for i in range(4):
-            edge_dev = max(edge_dev, abs(np.linalg.norm(pts[(i + 1) % 4] - pts[i]) - 1.0))
-        # a parallelogram closes: a - b + d - c = 0 in cycle order (a, b, d, c)
-        planarity = max(planarity, float(np.linalg.norm(pts[0] - pts[1] + pts[2] - pts[3])))
+    sides = np.roll(pts, -1, axis=1) - pts
+    edge_dev = float(np.max(np.abs(np.linalg.norm(sides, axis=2) - 1.0)))
     rep.margins["max_edge_length_deviation"] = edge_dev
     rep.checks["unit_edges"] = edge_dev <= tol
+    # a parallelogram closes: a - b + d - c = 0
+    closure = pts[:, 0] - pts[:, 1] + pts[:, 2] - pts[:, 3]
+    planarity = float(np.max(np.linalg.norm(closure, axis=1)))
     rep.margins["max_face_nonplanarity"] = planarity
     rep.checks["planar_faces"] = planarity <= tol
 
     # closed orientable surface: every undirected edge in exactly two faces
-    from collections import Counter
-
-    edge_count: Counter[tuple[int, int]] = Counter()
-    for f in z.faces:
-        ids = f.vertex_ids
-        for i in range(4):
-            a, b = ids[i], ids[(i + 1) % 4]
-            edge_count[(a, b) if a < b else (b, a)] += 1
-    rep.checks["closed_mesh"] = all(c == 2 for c in edge_count.values())
-    rep.margins["edge_multiplicity_max"] = float(max(edge_count.values()))
+    ends = np.stack([ids, np.roll(ids, -1, axis=1)], axis=2).reshape(-1, 2)
+    ends.sort(axis=1)
+    _, multiplicity = np.unique(ends[:, 0] * len(verts) + ends[:, 1], return_counts=True)
+    rep.checks["closed_mesh"] = bool(np.all(multiplicity == 2))
+    rep.margins["edge_multiplicity_max"] = float(multiplicity.max())
 
     center = 0.5 * (z.north_pole + z.south_pole)
     mirrored = 2.0 * center - verts
@@ -214,9 +219,25 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(verts)
-    eqs = hull.equations
-    viol = float(np.max(eqs[:, :3] @ verts.T + eqs[:, 3:4]))
+    viol = _max_hull_violation(hull.equations, verts)
     rep.margins["max_hull_violation"] = viol
     rep.checks["convex"] = viol <= max(tol, 1e-9) and len(hull.vertices) == len(verts)
 
     return rep
+
+
+HULL_BLOCK = 64  # facets per block: the largest temporary is HULL_BLOCK x vertices
+
+
+def _max_hull_violation(eqs: np.ndarray, verts: np.ndarray) -> float:
+    """max over facets and vertices of normal . v + offset, in facet blocks."""
+    buf = np.empty((min(HULL_BLOCK, len(eqs)), len(verts)))
+    coords = np.ascontiguousarray(verts.T)
+    worst = -np.inf
+    for lo in range(0, len(eqs), HULL_BLOCK):
+        block = eqs[lo : lo + HULL_BLOCK]
+        out = buf[: len(block)]
+        np.matmul(block[:, :3], coords, out=out)
+        out += block[:, 3:4]
+        worst = max(worst, float(out.max()))
+    return worst

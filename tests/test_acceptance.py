@@ -19,7 +19,6 @@ from zonet import crescent as cr
 from zonet.cli import DEFAULT_THETAS, _sweep_cell, main, parse_theta
 from zonet.unfold import Net, assemble_net, planar_zone, theta_zero_zone
 from zonet.verify import (
-    _rhomb_radius_ranges,
     beta_of_r,
     diagonal_perpendicular_test,
     flat_rhomb_check,
@@ -70,7 +69,7 @@ def test_02_full_grid_beta_bound_and_overlap_oracle():
 def _theta_zero_bands(n):
     zone = theta_zero_zone(n)
     upper, lower, flat = zone.half_split()
-    ranges = _rhomb_radius_ranges(zone)
+    ranges = zone.radius_ranges
     flat_t = () if flat is None else (flat,)
     r_upper_only = min(ranges[i][0] for i in (*lower, *flat_t))
     r_transition = max(

@@ -7,7 +7,9 @@ import re
 
 import pytest
 
+from zonet import cli
 from zonet.cli import main, parse_theta
+from zonet.verify import CheckResult, VerificationReport
 
 
 def run(argv):
@@ -106,6 +108,14 @@ class TestNet:
         run(["net", "-n", "6", "--theta", "30", "--svg", str(out)])
         assert re.search(r'viewBox="0 0 [\d.]+ [\d.]+"', out.read_text())
 
+    @pytest.mark.parametrize("zone", ("99", "-1", "16"))
+    def test_zone_out_of_range_exits_2(self, tmp_path, capsys, zone):
+        out = tmp_path / "z.svg"
+        argv = ["net", "-n", "16", "--theta", "20", "--svg", str(out), "--zone", zone]
+        assert run(argv) == 2
+        assert "zonet: error: --zone" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run(["net", "-n", "12", "--theta", "35", "--svg", str(a)])
@@ -124,6 +134,23 @@ class TestVerify:
 
     def test_theta_zero_suite(self):
         assert run(["verify", "-n", "16", "--theta", "0"]) == 0
+
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        failing = VerificationReport(8, 0.5, 0.7, {"subtended": CheckResult(False, -1.0)})
+        monkeypatch.setattr(cli, "run_verification", lambda *args: failing)
+        assert run(["verify", "-n", "8", "--theta", "0.5rad"]) == 1
+        assert "FAIL ['subtended']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify", "-n", "8", "--theta", "20"],
+            ["sweep", "--n-min", "3", "--n-max", "3", "--thetas", "20"],
+        ),
+    )
+    def test_samples_below_one_exits_2(self, capsys, argv):
+        assert run([*argv, "--samples", "0"]) == 2
+        assert "zonet: error: --samples" in capsys.readouterr().err
 
     def test_margins_reported_per_check(self, tmp_path):
         out = tmp_path / "v.json"
@@ -161,6 +188,14 @@ class TestSweep:
         keys = [(int(r["n"]), parse_theta(r["theta_deg"])) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("jobs", ("0", "-1"))
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.csv"
+        grid = ["--n-min", "3", "--n-max", "3", "--thetas", "20"]
+        assert run(["sweep", *grid, "--jobs", jobs, "--csv", str(out)]) == 2
+        assert "zonet: error: --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         grid = ["--n-min", "3", "--n-max", "6", "--thetas", "0,1,50"]
@@ -180,6 +215,12 @@ class TestCrescentCommand:
         for row in rows:
             assert 1.0 / 3.0 - 1e-6 < float(row["ratio"]) <= 0.5
         assert float(rows[-1]["ratio"]) == pytest.approx(1.0 / 3.0, abs=1e-3)
+
+    def test_single_step_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["crescent", "--steps", "1", "--csv", str(out)]) == 2
+        assert "zonet: error: --steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n3_row_uses_obtuse_branch(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,5 +1,6 @@
 """Construction of P(n, theta): counts, angles, and structural validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from scipy.spatial import ConvexHull
 
 from zonet.zonohedron import (
     ConstructionError,
+    HULL_BLOCK,
     Params,
+    _max_hull_violation,
     build,
     generators,
     rhomb_angle,
@@ -145,3 +148,85 @@ class TestStructure:
         assert rep.margins["max_edge_length_deviation"] < 1e-12
         assert rep.margins["max_face_nonplanarity"] < 1e-12
         assert rep.margins["central_symmetry_residual"] < 1e-10
+
+
+def _loop_reference(p):
+    """Vertices and face vertex ids by plain loops over (start, length) runs."""
+    n = p.n
+    gens = generators(p)
+    keys = [(0, 0), *((s, L) for L in range(1, n) for s in range(n)), (0, n)]
+    index = {key: i for i, key in enumerate(keys)}
+    verts = np.zeros((len(keys), 3))
+    for (start, length), i in index.items():
+        v = np.zeros(3)
+        for j in range(length):
+            v += gens[(start + j) % n]
+        verts[i] = v
+    faces = []
+    for zone in range(n):
+        for step in range(1, n):
+            L = n - step
+            a = index[((zone + 1) % n, L - 1) if L - 1 > 0 else (0, 0)]
+            b = index[(zone, L)]
+            d = index[(zone, L + 1) if L + 1 < n else (0, n)]
+            c = index[((zone + 1) % n, L)]
+            faces.append((zone, step, (a, b, d, c)))
+    return verts, faces
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("n", (3, 4, 7, 16))
+    @pytest.mark.parametrize("theta_deg", (0.3, 37.3, 89.5))
+    def test_build_matches_plain_loops(self, n, theta_deg):
+        p = Params(n, math.radians(theta_deg))
+        z = build(p)
+        verts, faces = _loop_reference(p)
+        assert np.array_equal(z.vertices, verts)
+        assert [(f.zone, f.step, f.vertex_ids) for f in z.faces] == faces
+
+
+class TestValidationFaults:
+    """Each structural check trips on a Zonohedron corrupted to break it."""
+
+    @pytest.fixture
+    def z(self):
+        return build(Params(8, math.radians(30)))
+
+    @staticmethod
+    def _with_vertex(z, i, point):
+        verts = z.vertices.copy()
+        verts[i] = point
+        return dataclasses.replace(z, vertices=verts)
+
+    def test_moved_vertex_fails_unit_edges_and_planar_faces(self, z):
+        i = len(z.vertices) // 2
+        rep = validate(self._with_vertex(z, i, z.vertices[i] + [0.01, -0.02, 0.005]))
+        assert not rep.checks["unit_edges"]
+        assert not rep.checks["planar_faces"]
+        assert rep.margins["max_face_nonplanarity"] > 0.01
+
+    def test_duplicated_face_fails_closed_mesh(self, z):
+        rep = validate(dataclasses.replace(z, faces=z.faces + (z.faces[5],)))
+        assert rep.failures() == ["closed_mesh"]
+        assert rep.margins["edge_multiplicity_max"] == 3.0
+
+    def test_off_centre_pole_fails_central_symmetry(self, z):
+        rep = validate(self._with_vertex(z, -1, z.north_pole + [0.0, 0.0, 1e-3]))
+        assert not rep.checks["central_symmetry"]
+        assert rep.margins["central_symmetry_residual"] == pytest.approx(1e-3, rel=1e-6)
+
+    def test_vertex_pushed_inward_fails_convex(self, z):
+        i = len(z.vertices) // 2
+        centre = 0.5 * (z.north_pole + z.south_pole)
+        pushed = z.vertices[i] + 0.5 * (centre - z.vertices[i])
+        rep = validate(self._with_vertex(z, i, pushed))
+        assert not rep.checks["convex"]
+
+    @pytest.mark.parametrize("worst_facet", (0, -1))
+    def test_blocked_hull_violation_equals_full_product(self, worst_facet):
+        rng = np.random.default_rng(7)
+        eqs = rng.normal(size=(3 * HULL_BLOCK + 5, 4))
+        eqs[worst_facet, 3] += 10.0  # the maximum sits in the first or the partial last block
+        verts = rng.normal(size=(50, 3))
+        full = np.max(eqs[:, :3] @ verts.T + eqs[:, 3:4])
+        assert _max_hull_violation(eqs, verts) == pytest.approx(full, abs=1e-14)
