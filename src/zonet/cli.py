@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import crescent as crescent_mod
 from .unfold import assemble_net, planar_zone
 from .verify import (
+    BETA_TOL,
     max_beta,
     net_overlap_oracle,
     rhomb_subtended_angles,
@@ -203,7 +204,7 @@ def _sweep_cell(cell: tuple[int, str, int]) -> list:
     alpha = zone.alpha
     worst = max_beta(zone, samples)
     overlaps = len(net_overlap_oracle(assemble_net(n, theta)))
-    ok = worst <= alpha + 1e-9 and overlaps == 0
+    ok = worst <= alpha + BETA_TOL and overlaps == 0
     return [
         n,
         theta_text,

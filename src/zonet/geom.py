@@ -1,9 +1,11 @@
 """Planar primitives: angles, angular interval sets, circle/quad arcs, exact overlap.
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
-units.  The exact overlap predicate works on the binary-float values themselves,
-embedded losslessly as rationals, so "touching" versus "overlapping" is decided
-exactly with respect to the coordinates actually computed.
+units.  The overlap predicate for convex polygons is a filtered float predicate
+with an exact rational fallback: each orientation is decided in floating point
+when its error bound allows and otherwise on the binary-float values embedded
+losslessly as rationals, so "touching" versus "overlapping" is decided exactly
+with respect to the coordinates actually computed.
 """
 
 from __future__ import annotations
@@ -346,176 +348,109 @@ def circle_quad_arcs(center: Point2, r: float, q: ConvexQuad) -> CircleQuadArcs:
 
 
 # ---------------------------------------------------------------------------
-# exact interior-overlap predicate (rational arithmetic)
+# exact interior-overlap predicate for convex polygons (filtered float
+# orientation with an exact rational fallback)
 
-FPoint = tuple[Fraction, Fraction]
+_EPS = 2.0**-53
+#: Shewchuk's ccwerrboundA: the float l - r has the sign of the exact
+#: determinant when it exceeds this multiple of |l| + |r|
+_CCW_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
+#: absolute allowance for products that underflow, where a relative bound
+#: fails: each is off by up to 2**-1075 (half the smallest subnormal), and the
+#: relative bound itself may round down by as much
+_UNDERFLOW_ERR = 2.0**-1070
 
 
-def _fr(poly: Sequence[Point2]) -> list[FPoint]:
+def _orient_exact(a: Point2, b: Point2, c: Point2) -> int:
     # Fraction(float) embeds the binary double exactly (denominator a power of 2)
-    return [(Fraction(x), Fraction(y)) for x, y in poly]
-
-
-def _orient(a: FPoint, b: FPoint, c: FPoint) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    bx, by = Fraction(b[0]) - ax, Fraction(b[1]) - ay
+    cx, cy = Fraction(c[0]) - ax, Fraction(c[1]) - ay
+    v = bx * cy - by * cx
     return (v > 0) - (v < 0)
 
 
-def _on_segment(a: FPoint, b: FPoint, p: FPoint) -> bool:
-    """p collinear with ab and within its bounding box (closed)."""
-    if _orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+def _orient(a: Point2, b: Point2, c: Point2) -> int:
+    """Exact sign of (b - a) x (c - a) for float points: +1 left, -1 right, 0 on.
+
+    The float evaluation decides whenever its forward error bound does
+    (J. R. Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+    Robust Geometric Predicates", DCG 18(3), 1997); otherwise the
+    determinant is recomputed in rational arithmetic.
+    """
+    left = (b[0] - a[0]) * (c[1] - a[1])
+    right = (b[1] - a[1]) * (c[0] - a[0])
+    det = left - right
+    bound = _CCW_ERRBOUND * (abs(left) + abs(right)) + _UNDERFLOW_ERR
+    if det > bound:
+        return 1
+    if det < -bound:
+        return -1
+    return _orient_exact(a, b, c)
 
 
-def _segments_properly_cross(p1: FPoint, p2: FPoint, q1: FPoint, q2: FPoint) -> bool:
-    o1 = _orient(p1, p2, q1)
-    o2 = _orient(p1, p2, q2)
-    o3 = _orient(q1, q2, p1)
-    o4 = _orient(q1, q2, p2)
-    return o1 * o2 < 0 and o3 * o4 < 0
+def _direction(p: Point2, q: Point2) -> tuple[int, int]:
+    """Exact signs of the x and y extent of the edge p -> q."""
+    return (q[0] > p[0]) - (q[0] < p[0]), (q[1] > p[1]) - (q[1] < p[1])
 
 
-def _segments_touch(p1: FPoint, p2: FPoint, q1: FPoint, q2: FPoint) -> bool:
-    if _segments_properly_cross(p1, p2, q1, q2):
-        return True
-    for a, b, p in ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2)):
-        if _on_segment(a, b, p):
-            return True
-    return False
+def _convex_winding(poly: Sequence[Point2]) -> int:
+    """Exact winding sign of a convex polygon: +1 CCW, -1 CW, 0 for zero area.
 
-
-def _area2(poly: Sequence[FPoint]) -> Fraction:
-    s = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return s
-
-
-def _check_simple(poly: Sequence[FPoint]) -> None:
+    Raises ValueError unless the polygon is convex: no repeated consecutive
+    vertex, every consecutive triple turns the same way or runs straight on,
+    and the edges turn through one full circle, not more (a pentagram turns
+    the same way at every vertex but twice around).
+    """
     n = len(poly)
     if n < 3:
-        raise ValueError("not simple: fewer than 3 vertices")
+        raise ValueError("polygon needs at least 3 vertices")
+    winding, spike = 0, False
     for i in range(n):
-        if poly[i] == poly[(i + 1) % n]:
-            raise ValueError("not simple: repeated consecutive vertex")
-    for i in range(n):
-        a1, a2 = poly[i], poly[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = poly[j], poly[(j + 1) % n]
-            if _segments_touch(a1, a2, b1, b2):
-                raise ValueError("not simple: self-intersection")
-
-
-def _point_on_boundary(poly: Sequence[FPoint], p: FPoint) -> bool:
-    n = len(poly)
-    return any(_on_segment(poly[i], poly[(i + 1) % n], p) for i in range(n))
-
-
-def _point_strictly_inside(poly: Sequence[FPoint], p: FPoint) -> bool:
-    if _point_on_boundary(poly, p):
-        return False
-    # exact crossing number with the half-open rule on y
-    inside = False
-    n = len(poly)
-    px, py = p
-    for i in range(n):
-        (x1, y1), (x2, y2) = poly[i], poly[(i + 1) % n]
-        if (y1 > py) != (y2 > py):
-            # x of the edge at height py, compared exactly
-            xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < xi:
-                inside = not inside
-    return inside
-
-
-def _interior_point(poly: Sequence[FPoint]) -> FPoint:
-    """A point strictly interior to a simple polygon with nonzero area."""
-    n = len(poly)
-    sign = 1 if _area2(poly) > 0 else -1
-    for i in range(n):
-        a, b, c = poly[(i - 1) % n], poly[i], poly[(i + 1) % n]
-        if _orient(a, b, c) != sign:
-            continue
-        blocked = False
-        for j in range(n):
-            p = poly[j]
-            if p in (a, b, c):
-                continue
-            if (
-                _orient(a, b, p) * sign >= 0
-                and _orient(b, c, p) * sign >= 0
-                and _orient(c, a, p) * sign >= 0
-            ):
-                blocked = True
-                break
-        if not blocked:
-            return ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
-    raise ValueError("could not find an ear; polygon may be degenerate")
-
-
-def _is_convex_exact(poly: Sequence[FPoint]) -> bool:
-    n = len(poly)
-    sign = 1 if _area2(poly) > 0 else -1
-    for i in range(n):
-        if _orient(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) * sign < 0:
-            return False
-    return True
-
-
-def _convex_interiors_overlap(pa: Sequence[FPoint], pb: Sequence[FPoint]) -> bool:
-    """Exact separating-axis test: convex interiors are disjoint iff some edge
-    line of one polygon has the two polygons on opposite closed sides."""
-    for poly, other in ((pa, pb), (pb, pa)):
-        n = len(poly)
-        sign = 1 if _area2(poly) > 0 else -1
-        for i in range(n):
-            e1, e2 = poly[i], poly[(i + 1) % n]
-            # interior of `poly` is strictly on side `sign` of edge (e1, e2);
-            # if `other` lies entirely on the closed opposite side, separated
-            if all(_orient(e1, e2, p) * sign <= 0 for p in other):
-                return False
-    return True
+        a, b, c = poly[i - 2], poly[i - 1], poly[i]
+        if b[0] == c[0] and b[1] == c[1]:
+            raise ValueError("polygon repeats a consecutive vertex")
+        turn = _orient(a, b, c)
+        if turn == 0:
+            spike |= _direction(a, b) != _direction(b, c)  # collinear edges pointing apart
+        elif winding == 0:
+            winding = turn
+        elif turn != winding:
+            raise ValueError("polygon is not convex")
+    if winding == 0:
+        return 0  # every consecutive triple collinear: all vertices on one line
+    if spike:
+        raise ValueError("polygon is not convex")
+    # each turn is less than pi, so up to 4 vertices cannot turn twice around;
+    # beyond that, one full turn is the x extent changing sign exactly twice
+    if n > 4:
+        xs = [dx for dx, _ in (_direction(poly[i - 1], poly[i]) for i in range(n)) if dx]
+        if sum(xs[i] != xs[i - 1] for i in range(len(xs))) != 2:
+            raise ValueError("polygon is not convex")
+    return winding
 
 
 def polygons_interior_overlap(a: Sequence[Point2], b: Sequence[Point2]) -> bool:
-    """True iff the open interiors of two simple polygons intersect.
+    """True iff the open interiors of two convex polygons intersect.
 
-    Boundary-only contact (shared edges, shared vertices) returns False.  All
-    predicates are evaluated in exact rational arithmetic on the float inputs.
-    Convex inputs take an exact separating-axis path, which also catches
-    sliver overlaps thinner than any vertex spacing.
+    Boundary-only contact (shared edges, shared vertices) returns False, and
+    so does a polygon of zero area; a non-convex input raises ValueError.
+    Every orientation is exact for the float inputs (a filtered float
+    evaluation with a rational fallback), so sliver overlaps thinner than
+    any vertex spacing are caught and touching is never mistaken for
+    overlap.  The test is by separating axes: convex interiors are disjoint
+    iff some edge line of one polygon has the two polygons on opposite
+    closed sides.
     """
-    pa, pb = _fr(a), _fr(b)
-    _check_simple(pa)
-    _check_simple(pb)
-    if _area2(pa) == 0 or _area2(pb) == 0:
+    wa = _convex_winding(a)
+    wb = _convex_winding(b)
+    if wa == 0 or wb == 0:
         return False
-    if _is_convex_exact(pa) and _is_convex_exact(pb):
-        return _convex_interiors_overlap(pa, pb)
-    na, nb = len(pa), len(pb)
-    for i in range(na):
-        for j in range(nb):
-            if _segments_properly_cross(
-                pa[i], pa[(i + 1) % na], pb[j], pb[(j + 1) % nb]
-            ):
-                return True
-    for p in pa:
-        if _point_strictly_inside(pb, p):
-            return True
-    for p in pb:
-        if _point_strictly_inside(pa, p):
-            return True
-    if _point_strictly_inside(pb, _interior_point(pa)):
-        return True
-    if _point_strictly_inside(pa, _interior_point(pb)):
-        return True
-    return False
+    for poly, winding, other in ((a, wa, b), (b, wb, a)):
+        n = len(poly)
+        for i in range(n):
+            e1, e2 = poly[i], poly[(i + 1) % n]
+            # the interior of `poly` is strictly on side `winding` of (e1, e2)
+            if all(_orient(e1, e2, p) * winding <= 0 for p in other):
+                return False
+    return True

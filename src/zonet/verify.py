@@ -10,7 +10,8 @@ the zone only change at radii where the circle passes through a vertex or
 grazes an edge, so sampling each interval between such events (plus points
 hugging the events themselves) exercises every case.  The one fully exact
 check is `net_overlap_oracle`, which tests rhomb pairs of the assembled net
-with rational-arithmetic predicates and is independent of the beta machinery.
+with a filtered float predicate with an exact rational fallback and is
+independent of the beta machinery.
 """
 
 from __future__ import annotations
@@ -266,7 +267,8 @@ def net_overlap_oracle(
     """All pairs of rhombs from different zones whose interiors overlap.
 
     Every rhomb is first shrunk inward by ``slack`` and the shrunk pairs are
-    tested with the exact rational-arithmetic predicate.  The shrink absorbs
+    tested with the exact separating-axis predicate (a filtered float
+    predicate with an exact rational fallback).  The shrink absorbs
     the ~1e-16 placement noise of the floating-point net: zones that touch
     along exactly-shared boundaries in the ideal net (the pole-edge fan; the
     theta = 0 chain abutments) would otherwise produce hairline "overlaps"

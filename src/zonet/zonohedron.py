@@ -15,10 +15,10 @@ each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
 planar_faces (every face closes as a parallelogram), closed_mesh (every edge
 lies on exactly two faces), central_symmetry (the vertex set is symmetric
 about the midpoint of the poles) and convex (every vertex is a vertex of the
-convex hull and none lies outside a hull facet).  Both functions are array
-programs over all vertices and faces at once; the convexity check tests every
-hull facet against every vertex in fixed-size facet blocks, so its memory
-stays at HULL_BLOCK rows of vertices whatever n is.
+convex hull and none lies outside the plane of any face).  Both functions are
+array programs over all vertices and faces at once; the convexity check tests
+every face plane against every vertex in fixed-size blocks of planes, so its
+memory stays at HULL_BLOCK rows of vertices whatever n is.
 """
 
 from __future__ import annotations
@@ -216,26 +216,33 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     rep.margins["central_symmetry_residual"] = sym
     rep.checks["central_symmetry"] = sym <= tol
 
+    # outward plane of each face through its first vertex; a dent tilts the
+    # planes of the faces around it, putting their neighbours outside
+    normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals *= np.sign(np.einsum("ij,ij->i", normals, pts.mean(axis=1) - center))[:, None]
+    planes = np.column_stack([normals, -np.einsum("ij,ij->i", normals, pts[:, 0])])
+    viol = _max_plane_violation(planes, verts)
+    rep.margins["max_face_plane_violation"] = viol
+
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(verts)
-    viol = _max_hull_violation(hull.equations, verts)
-    rep.margins["max_hull_violation"] = viol
     rep.checks["convex"] = viol <= max(tol, 1e-9) and len(hull.vertices) == len(verts)
 
     return rep
 
 
-HULL_BLOCK = 64  # facets per block: the largest temporary is HULL_BLOCK x vertices
+HULL_BLOCK = 64  # planes per block: the largest temporary is HULL_BLOCK x vertices
 
 
-def _max_hull_violation(eqs: np.ndarray, verts: np.ndarray) -> float:
-    """max over facets and vertices of normal . v + offset, in facet blocks."""
-    buf = np.empty((min(HULL_BLOCK, len(eqs)), len(verts)))
+def _max_plane_violation(planes: np.ndarray, verts: np.ndarray) -> float:
+    """max over planes and vertices of normal . v + offset, in blocks of planes."""
+    buf = np.empty((min(HULL_BLOCK, len(planes)), len(verts)))
     coords = np.ascontiguousarray(verts.T)
     worst = -np.inf
-    for lo in range(0, len(eqs), HULL_BLOCK):
-        block = eqs[lo : lo + HULL_BLOCK]
+    for lo in range(0, len(planes), HULL_BLOCK):
+        block = planes[lo : lo + HULL_BLOCK]
         out = buf[: len(block)]
         np.matmul(block[:, :3], coords, out=out)
         out += block[:, 3:4]

@@ -1,11 +1,13 @@
 """Angular interval arithmetic, circle/quad clipping, and exact predicates."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonet import geom
 from zonet.geom import (
     AngularIntervalSet,
     ConvexQuad,
@@ -191,6 +193,168 @@ class TestExactOverlap:
         """The exact predicate sees overlaps far below float-sampling scales."""
         b = tuple((x + 1.0 - 1e-13, y) for x, y in UNIT_SQUARE)
         assert polygons_interior_overlap(UNIT_SQUARE, b)
+
+
+def _fraction_orient(a, b, c):
+    """Sign of (b - a) x (c - a) with every coordinate embedded as a Fraction."""
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c))
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (v > 0) - (v < 0)
+
+
+def reference_overlap(a, b):
+    """Separating-axis test for convex polygons in pure Fraction arithmetic.
+
+    The winding comes from the shoelace area, independently of the turn-based
+    convexity pass in `geom`; no float filter is involved anywhere.
+    """
+    windings = []
+    for poly in (a, b):
+        pts = [(Fraction(x), Fraction(y)) for x, y in poly]
+        area2 = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1]))
+        if area2 == 0:
+            return False
+        windings.append(1 if area2 > 0 else -1)
+    for poly, winding, other in ((a, windings[0], b), (b, windings[1], a)):
+        for e1, e2 in zip(poly, [*poly[1:], poly[0]]):
+            if all(_fraction_orient(e1, e2, p) * winding <= 0 for p in other):
+                return False
+    return True
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Record every call `geom._orient` hands to the rational fallback."""
+    calls = []
+
+    def spy(a, b, c):
+        calls.append((a, b, c))
+        return _fraction_orient(a, b, c)
+
+    monkeypatch.setattr(geom, "_orient_exact", spy)
+    return calls
+
+
+class TestFilteredOrient:
+    @pytest.mark.parametrize("k", (-3, -1, 0, 1, 2))
+    def test_near_collinear_triple_takes_exact_fallback(self, exact_calls, k):
+        a, b, c = (0.5 + k * 2.0**-53, 0.5), (12.0, 12.0), (24.0, 24.0)
+        assert geom._orient(a, b, c) == _fraction_orient(a, b, c)
+        assert exact_calls == [(a, b, c)]
+
+    def test_clear_triple_is_decided_in_floats(self, exact_calls):
+        assert geom._orient((0.0, 0.0), (1.0, 0.0), (0.3, 1e-6)) == 1
+        assert geom._orient((0.0, 0.0), (0.3, 1e-6), (1.0, 0.0)) == -1
+        assert exact_calls == []
+
+    def test_underflowed_products_take_exact_fallback(self, exact_calls):
+        """Both products are subnormal and round apart: their float
+        difference is 2**-1074 with the wrong sign, which a purely relative
+        error bound would accept."""
+        tiny = 2.0**-1074
+        a, b, c = (26 * 2.0**-60, 0.0), (5 / 12, tiny), (2.5, 6 * tiny)
+        left = (b[0] - a[0]) * (c[1] - a[1])
+        right = (b[1] - a[1]) * (c[0] - a[0])
+        assert left - right > 0.0
+        assert geom._orient(a, b, c) == _fraction_orient(a, b, c) == -1
+        assert len(exact_calls) == 1
+
+
+@st.composite
+def quad_pairs(draw):
+    """A convex quad and a second one that nearly touches, shares an edge or a
+    vertex, hairline-overlaps, lies inside it, or sits anywhere nearby."""
+    f = st.floats
+    px, py = draw(f(-5.0, 5.0)), draw(f(-5.0, 5.0))
+    ang, turn = draw(f(0.0, TWO_PI)), draw(f(0.2, math.pi - 0.2))
+    lu, lv, kite = draw(f(0.1, 3.0)), draw(f(0.1, 3.0)), draw(f(1.0, 1.6))
+    u = (lu * math.cos(ang), lu * math.sin(ang))
+    v = (lv * math.cos(ang + turn), lv * math.sin(ang + turn))
+    # a parallelogram with its far corner pushed out along the diagonal stays convex
+    a = [
+        (px, py),
+        (px + u[0], py + u[1]),
+        (px + kite * (u[0] + v[0]), py + kite * (u[1] + v[1])),
+        (px + v[0], py + v[1]),
+    ]
+    i = draw(st.integers(0, 3))
+    p, q = a[i], a[(i + 1) % 4]
+    ex, ey = q[0] - p[0], q[1] - p[1]
+    norm = math.hypot(ex, ey)
+    out = (ey / norm, -ex / norm)  # outward normal of edge i (a is CCW)
+    gap = draw(st.sampled_from((0.0, 1e-13, -1e-13, 1e-15, -1e-15, 2.0**-52, -(2.0**-52), 1e-6)))
+    mode = draw(st.sampled_from(("edge", "vertex", "inside", "nearby")))
+    if mode == "edge":
+        depth, slide = draw(f(0.1, 2.0)), draw(f(-1.0, 1.0))
+        w = (depth * out[0] + slide * ex, depth * out[1] + slide * ey)
+        b = [q, p, (p[0] + w[0], p[1] + w[1]), (q[0] + w[0], q[1] + w[1])]
+    elif mode == "vertex":
+        o = a[(i + 2) % 4]
+        b = [(x + p[0] - o[0], y + p[1] - o[1]) for x, y in a]
+    elif mode == "inside":
+        cx, cy = sum(x for x, _ in a) / 4, sum(y for _, y in a) / 4
+        s = draw(f(0.01, 0.99))
+        b = [(cx + s * (x - cx), cy + s * (y - cy)) for x, y in a]
+    else:
+        dx, dy = draw(f(-4.0, 4.0)), draw(f(-4.0, 4.0))
+        b = [(x + dx, y + dy) for x, y in a]
+    b = [(x + gap * out[0], y + gap * out[1]) for x, y in b]
+    if draw(st.booleans()):
+        b.reverse()
+    return a, b
+
+
+@st.composite
+def rounding_trap_pairs(draw):
+    """Quads whose verdict is one orientation that plain float arithmetic gets
+    wrong for about half of the offsets (Kettner et al., "Classroom examples of
+    robustness problems in geometric computations", CGTA 40(1), 2008): B's
+    corner (12, 12) lies on, or within a few ulps of, A's edge from
+    (0.5 + x*u, 0.5 + y*u) to (24, 24), and the rest of B lies below it."""
+    u = 2.0**-53
+    x, y = draw(st.integers(0, 63)), draw(st.integers(0, 63))
+    a = [(0.5 + x * u, 0.5 + y * u), (24.0, 24.0), (20.0, 30.0), (0.5, 8.0)]
+    b = [(12.0, 12.0), (14.0, 4.0), (10.0, 1.0), (6.0, 3.0)]
+    return a, b
+
+
+class TestFilteredOverlapAgainstFractions:
+    @given(st.one_of(quad_pairs(), rounding_trap_pairs()))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pure_fraction_reference(self, pair):
+        a, b = pair
+        expected = reference_overlap(a, b)
+        assert polygons_interior_overlap(a, b) == expected
+        assert polygons_interior_overlap(b, a) == expected
+
+
+class TestConvexInputsOnly:
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),  # bowtie
+            ((0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (1.0, 1.0)),  # dart: reflex corner
+            tuple((math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)) for k in range(5)),
+            # a vertical spike whose every other corner turns left
+            ((0.0, 0.0), (0.0, 2.0), (0.0, 1.0), (1.0, 2.0), (-2.0, 3.0), (-1.0, -1.0)),
+            ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)),  # repeated vertex
+        ],
+        ids=["bowtie", "dart", "pentagram", "spike", "repeated"],
+    )
+    def test_non_convex_raises(self, poly):
+        with pytest.raises(ValueError):
+            polygons_interior_overlap(UNIT_SQUARE, poly)
+        with pytest.raises(ValueError):
+            polygons_interior_overlap(poly, UNIT_SQUARE)
+
+    def test_zero_area_polygon_does_not_overlap(self):
+        flat = ((0.0, 0.5), (2.0, 0.5), (1.0, 0.5))
+        assert not polygons_interior_overlap(UNIT_SQUARE, flat)
+        assert not polygons_interior_overlap(flat, UNIT_SQUARE)
+
+    def test_convex_pentagon_is_accepted(self):
+        pentagon = tuple((0.5 + 0.4 * math.cos(0.4 * math.pi * k), 0.5 + 0.4 * math.sin(0.4 * math.pi * k)) for k in range(5))
+        assert polygons_interior_overlap(UNIT_SQUARE, pentagon)
 
 
 def test_normalize_angle_range():

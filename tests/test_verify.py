@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonet import verify
+from zonet.geom import polygons_interior_overlap
 from zonet.unfold import Net, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
@@ -182,25 +184,50 @@ class TestOverlapOracle:
     def test_true_nets_are_clean(self, n, theta_deg):
         assert net_overlap_oracle(assemble_net(n, math.radians(theta_deg))) == []
 
-    def test_misrotated_zone_is_caught(self):
-        """Fault injection: a zone rotated short of alpha must collide."""
+    @staticmethod
+    def _misrotated_net():
         net = assemble_net(16, 0.0)
         zones = list(net.zones)
         zones[1] = zones[0].rotated(0.9 * net.alpha)
-        bad = Net(net.n, net.theta, net.alpha, tuple(zones))
-        hits = net_overlap_oracle(bad)
-        assert len(hits) >= 1
-        assert any(0 in (a[0], b[0]) or 1 in (a[0], b[0]) for a, b in hits)
+        return Net(net.n, net.theta, net.alpha, tuple(zones))
 
-    def test_translated_zone_is_caught(self):
+    @staticmethod
+    def _translated_net():
         net = assemble_net(8, math.radians(50))
         zones = list(net.zones)
         shifted = tuple(
             tuple((x + 0.05, y) for x, y in quad) for quad in zones[2].corners
         )
         zones[2] = zones[2].__class__(zones[2].n, zones[2].theta, zones[2].alpha, shifted)
-        bad = Net(net.n, net.theta, net.alpha, tuple(zones))
-        assert len(net_overlap_oracle(bad)) >= 1
+        return Net(net.n, net.theta, net.alpha, tuple(zones))
+
+    def test_misrotated_zone_is_caught(self):
+        """Fault injection: a zone rotated short of alpha must collide."""
+        hits = net_overlap_oracle(self._misrotated_net())
+        assert len(hits) >= 1
+        assert any(0 in (a[0], b[0]) or 1 in (a[0], b[0]) for a, b in hits)
+
+    def test_translated_zone_is_caught(self):
+        assert len(net_overlap_oracle(self._translated_net())) >= 1
+
+    def test_every_candidate_pair_matches_fraction_reference(self, monkeypatch):
+        """The filtered predicate agrees with pure Fraction arithmetic on every
+        pair the oracle asks about in the fault-injected nets."""
+        from test_geom import reference_overlap
+
+        for bad in (self._misrotated_net(), self._translated_net()):
+            asked = []
+
+            def recording(a, b):
+                verdict = polygons_interior_overlap(a, b)
+                asked.append((a, b, verdict))
+                return verdict
+
+            monkeypatch.setattr(verify, "polygons_interior_overlap", recording)
+            hits = net_overlap_oracle(bad)
+            assert sum(v for _, _, v in asked) == len(hits) >= 1
+            for a, b, verdict in asked:
+                assert verdict == reference_overlap(a, b)
 
 
 class TestRunVerification:

@@ -13,7 +13,7 @@ from zonet.zonohedron import (
     ConstructionError,
     HULL_BLOCK,
     Params,
-    _max_hull_violation,
+    _max_plane_violation,
     build,
     generators,
     rhomb_angle,
@@ -148,6 +148,7 @@ class TestStructure:
         assert rep.margins["max_edge_length_deviation"] < 1e-12
         assert rep.margins["max_face_nonplanarity"] < 1e-12
         assert rep.margins["central_symmetry_residual"] < 1e-10
+        assert rep.margins["max_face_plane_violation"] < 1e-12
 
 
 def _loop_reference(p):
@@ -222,6 +223,15 @@ class TestValidationFaults:
         rep = validate(self._with_vertex(z, i, pushed))
         assert not rep.checks["convex"]
 
+    def test_shallow_dent_fails_convex(self, z):
+        """A 10% dent keeps every vertex on the hull; the face planes catch it."""
+        centre = 0.5 * (z.north_pole + z.south_pole)
+        dented = self._with_vertex(z, 29, z.vertices[29] + 0.1 * (centre - z.vertices[29]))
+        assert len(ConvexHull(dented.vertices).vertices) == len(z.vertices)
+        rep = validate(dented)
+        assert not rep.checks["convex"]
+        assert rep.margins["max_face_plane_violation"] > 0.2
+
     @pytest.mark.parametrize("worst_facet", (0, -1))
     def test_blocked_hull_violation_equals_full_product(self, worst_facet):
         rng = np.random.default_rng(7)
@@ -229,4 +239,4 @@ class TestValidationFaults:
         eqs[worst_facet, 3] += 10.0  # the maximum sits in the first or the partial last block
         verts = rng.normal(size=(50, 3))
         full = np.max(eqs[:, :3] @ verts.T + eqs[:, 3:4])
-        assert _max_hull_violation(eqs, verts) == pytest.approx(full, abs=1e-14)
+        assert _max_plane_violation(eqs, verts) == pytest.approx(full, abs=1e-14)
