@@ -10,7 +10,7 @@ from .zonohedron import (
     rhomb_angle,
     validate,
 )
-from .unfold import Net, PlanarZone, assemble_net, develop_zone, planar_zone, theta_zero_zone
+from .unfold import Net, PlanarZone, assemble_net, planar_zone, theta_zero_zone
 from .verify import (
     VerificationReport,
     beta_of_r,
@@ -35,7 +35,6 @@ __all__ = [
     "beta_profile",
     "build",
     "crescent",
-    "develop_zone",
     "generators",
     "max_beta",
     "net_overlap_oracle",

@@ -1,14 +1,12 @@
-"""Isometric development of zones into the plane and assembly of the full net.
+"""Closed-form development of zones into the plane and assembly of the full net.
 
 Standard orientation: the pole image o sits at the origin, the pole-side edge
 of the first rhomb runs from o to (1, 0), and the zone extends into the lower
 half-plane.  Every edge parallel to the zone's generator then develops to a
 horizontal unit segment, so the left and right boundary chains are horizontal
-translates of each other by one unit.
-
-The development here is the ground-truth 3D rollout: each rhomb is rotated
-about the shared edge into the plane of its predecessor, realized by placing
-the two free vertices isometrically on the side opposite the previous face.
+translates of each other by one unit.  The left chain's edges are unit steps
+at the rhomb angles, so every vertex is an explicit sum of cosines and sines,
+and theta = 0 (the doubly-covered n-gon) needs no separate construction.
 """
 
 from __future__ import annotations
@@ -17,12 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .geom import ConvexQuad, Point2
-from .zonohedron import Params, Zonohedron, build
-
-ISOMETRY_TOL = 1e-10
+from .zonohedron import Params, rhomb_angle
+from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
 
 @dataclass(frozen=True)
@@ -115,133 +110,6 @@ def _segment_distance(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] + t * dx, p[1] + t * dy)
 
 
-def _place_face(
-    pts3: np.ndarray,
-    anchors: tuple[int, int],
-    pos2: dict[int, tuple[float, float]],
-    ids: tuple[int, ...],
-    side: float,
-) -> None:
-    """Isometrically place a planar 3D face given two already-placed vertices.
-
-    ``side`` is the required sign of cross(q - p, v - p) for the free vertices,
-    with (p, q) the planar anchor images; the caller passes the opposite of the
-    previous face's side so the surface flattens rather than folds back.
-    """
-    ia, ib = anchors
-    P3, Q3 = pts3[ids.index(ia)], pts3[ids.index(ib)]
-    e1 = Q3 - P3
-    e1 = e1 / np.linalg.norm(e1)
-    # in-plane unit vector orthogonal to the anchor edge
-    free = [i for i in ids if i not in anchors]
-    R3 = pts3[ids.index(free[0])]
-    perp = (R3 - P3) - np.dot(R3 - P3, e1) * e1
-    e2 = perp / np.linalg.norm(perp)
-
-    p = np.array(pos2[ia])
-    q = np.array(pos2[ib])
-    u = q - p
-    u = u / np.linalg.norm(u)
-    for s in (1.0, -1.0):
-        uperp = s * np.array([-u[1], u[0]])
-        trial = {}
-        ok = True
-        for vid in free:
-            V3 = pts3[ids.index(vid)]
-            x = float(np.dot(V3 - P3, e1))
-            y = float(np.dot(V3 - P3, e2))
-            img = p + x * u + y * uperp
-            cross = u[0] * (img[1] - p[1]) - u[1] * (img[0] - p[0])
-            if cross * side < 0:
-                ok = False
-                break
-            trial[vid] = (float(img[0]), float(img[1]))
-        if ok:
-            pos2.update(trial)
-            return
-    raise RuntimeError("could not place face on the required side")
-
-
-def develop_zone(z: Zonohedron, zone_index: int = 0) -> PlanarZone:
-    """Develop one zone of a built zonohedron (theta > 0) into the plane."""
-    n = z.params.n
-    faces = [z.faces[i] for i in z.zones[zone_index]]
-    pos: dict[int, tuple[float, float]] = {}
-
-    # R_1 in cycle order (a, b, d, c): d is the north pole, edge (c, d) is the
-    # pole-side unit edge.  Pin d -> o and c -> (1, 0); free corners go below.
-    a0, b0, d0, c0 = faces[0].vertex_ids
-    pos[d0] = (0.0, 0.0)
-    pos[c0] = (1.0, 0.0)
-    _place_face(z.face_points(faces[0]), (c0, d0), pos, faces[0].vertex_ids, _side_below())
-
-    corners: list[tuple] = []
-    corners.append((pos[d0], pos[c0], pos[a0], pos[b0]))
-
-    prev_ids = faces[0].vertex_ids
-    for face in faces[1:]:
-        a, b, d, c = face.vertex_ids
-        # shared edge with the previous face: its (c, d) equals the previous (b, a)
-        pa, pb = prev_ids[0], prev_ids[1]
-        assert (c, d) == (pa, pb), "zone faces are not chained as expected"
-        p = np.array(pos[c])
-        q = np.array(pos[d])
-        u = q - p
-        # previous face's side w.r.t. the shared edge, probed with its far corner
-        far = pos[prev_ids[2]]
-        prev_side = u[0] * (far[1] - p[1]) - u[1] * (far[0] - p[0])
-        _place_face(
-            z.face_points(face), (c, d), pos, face.vertex_ids, -math.copysign(1.0, prev_side)
-        )
-        corners.append((pos[d], pos[c], pos[a], pos[b]))
-        prev_ids = face.vertex_ids
-
-    zone = PlanarZone(n, z.params.theta, z.params.alpha, tuple(corners))
-    _check_standard_orientation(zone)
-    return zone
-
-
-def _side_below() -> float:
-    # anchors are passed as (c, d) = ((1,0) -> o), so u = o - (1,0) = (-1, 0)
-    # and cross(u, v - p) < 0 puts v in the lower half-plane... sign worked out
-    # once here so the call site stays readable.
-    # u = (-1, 0); cross = u_x*dy - u_y*dx = -dy; below (dy < 0) => cross > 0.
-    return 1.0
-
-
-def _check_standard_orientation(zone: PlanarZone, tol: float = ISOMETRY_TOL) -> None:
-    for tl, tr, br, bl in zone.corners:
-        for p0, p1 in ((tl, tr), (bl, br)):
-            if abs(p1[1] - p0[1]) > tol or abs(abs(p1[0] - p0[0]) - 1.0) > tol:
-                raise RuntimeError("development lost standard orientation")
-
-
-def theta_zero_zone(n: int) -> PlanarZone:
-    """The doubly-covered n-gon unfolding: a mirrored S of two half polygons.
-
-    Built directly in the plane from the degenerate rhomb angles 2*pi*k/n; the
-    left boundary chain steps by unit vectors at angle -2*pi*k/n, so the upper
-    half's right boundary lies on a circle of radius 1/(2 sin(alpha/2))
-    through o, and for n even the central rhomb collapses to a unit segment.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    alpha = 2.0 * math.pi / n
-    left = [(0.0, 0.0)]
-    for k in range(1, n):
-        # folded rhomb angle: the boundary's turning reverses past the middle,
-        # mirroring the lower half-polygon against the upper one
-        g = alpha * min(k, n - k)
-        x, y = left[-1]
-        left.append((x + math.cos(g), y - math.sin(g)))
-    corners = []
-    for k in range(n - 1):
-        tl = left[k]
-        bl = left[k + 1]
-        corners.append((tl, (tl[0] + 1.0, tl[1]), (bl[0] + 1.0, bl[1]), bl))
-    return PlanarZone(n, 0.0, alpha, tuple(corners))
-
-
 @dataclass(frozen=True)
 class Net:
     """The full unfolding: n copies of one zone, zone i rotated by i*alpha."""
@@ -260,10 +128,35 @@ class Net:
 
 @lru_cache(maxsize=64)
 def planar_zone(n: int, theta: float) -> PlanarZone:
-    """Zone 0 developed in standard orientation; theta = 0 takes the S path."""
-    if theta == 0.0:
-        return theta_zero_zone(n)
-    return develop_zone(build(Params(n, theta)), 0)
+    """Zone 0 developed in standard orientation, for every theta in [0, pi/2).
+
+    The left chain starts at o and its k-th edge is the unit vector at angle
+    -gamma_k, where gamma_k = rhomb_angle(Params(n, theta), k) is rhomb
+    R_k's corner between its pole-side edge and the left chain; the right
+    chain is the left chain shifted by (1, 0).  At theta = 0, gamma_k =
+    alpha * min(k, n - k), which gives the doubly-covered n-gon's S-strip.
+    """
+    p = Params(n, theta)
+    left = [(0.0, 0.0)]
+    for k in range(1, n):
+        g = rhomb_angle(p, k)
+        x, y = left[-1]
+        left.append((x + math.cos(g), y - math.sin(g)))
+    corners = tuple(
+        (tl, (tl[0] + 1.0, tl[1]), (bl[0] + 1.0, bl[1]), bl)
+        for tl, bl in zip(left, left[1:])
+    )
+    return PlanarZone(n, theta, p.alpha, corners)
+
+
+def theta_zero_zone(n: int) -> PlanarZone:
+    """The doubly-covered n-gon unfolding: a mirrored S of two half polygons.
+
+    The upper half's right boundary lies on a circle of radius
+    1/(2 sin(alpha/2)) through o, and for n even the central rhomb collapses
+    to a unit segment.
+    """
+    return planar_zone(n, 0.0)
 
 
 def assemble_net(n: int, theta: float) -> Net:

@@ -14,9 +14,10 @@ build() refuses to return a solid unless validate() confirms five invariants,
 each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
 planar_faces (every face closes as a parallelogram), closed_mesh (every edge
 lies on exactly two faces), central_symmetry (the vertex set is symmetric
-about the midpoint of the poles) and convex (every vertex is a vertex of the
-convex hull and none lies outside the plane of any face).  Both functions are
-array programs over all vertices and faces at once; the convexity check tests
+about the midpoint of the poles) and convex (no vertex lies outside the plane
+of any face).  Both functions are array programs over all vertices and faces
+at once, with no hull or nearest-neighbour search: symmetry pairs each run
+with its complementary run by index arithmetic, and the convexity check tests
 every face plane against every vertex in fixed-size blocks of planes, so its
 memory stays at HULL_BLOCK rows of vertices whatever n is.
 """
@@ -40,7 +41,8 @@ class Params:
     """n generators at elevation theta (radians), theta in [0, pi/2).
 
     theta = 0 is representable (the doubly-covered n-gon) but build() rejects
-    it; that degenerate case is produced directly by the unfold module.
+    it; the unfold module develops every theta, 0 included, from the rhomb
+    angles alone, without the solid.
     """
 
     n: int
@@ -71,11 +73,20 @@ def rhomb_angle(p: Params, k: int) -> float:
 
     gamma_1 is alpha; for n even, gamma_{n/2} = pi - 2*theta, so the
     complementary corner of the central rhomb is exactly 2*theta.
+
+    With phi = pi*k/n, the half angle has sin(gamma/2) = cos(theta)|sin(phi)|
+    and cos(gamma/2) = hypot(cos(phi), sin(theta) sin(phi)).  Their atan2 keeps
+    full relative accuracy near 0 and near pi, where acos of the cosine
+    cos^2(theta) cos(2 phi) + sin^2(theta) loses half its digits.  gamma_k =
+    gamma_{n-k}, so phi is taken in (0, pi/2], where sin(phi) is not the
+    difference of a rounded phi from pi.
     """
     if not (1 <= k <= p.n - 1):
         raise ValueError(f"k must be in [1, {p.n - 1}]")
-    c = math.cos(p.theta) ** 2 * math.cos(2.0 * math.pi * k / p.n) + math.sin(p.theta) ** 2
-    return math.acos(min(1.0, max(-1.0, c)))
+    phi = math.pi * min(k, p.n - k) / p.n
+    s = math.sin(phi)
+    half_cos = math.hypot(math.cos(phi), math.sin(p.theta) * s)
+    return 2.0 * math.atan2(math.cos(p.theta) * s, half_cos)
 
 
 @dataclass(frozen=True)
@@ -205,14 +216,12 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     rep.checks["closed_mesh"] = bool(np.all(multiplicity == 2))
     rep.margins["edge_multiplicity_max"] = float(multiplicity.max())
 
+    # the mirror of run (s, L) is its complement, the run (s + L mod n, n - L)
     center = 0.5 * (z.north_pole + z.south_pole)
-    mirrored = 2.0 * center - verts
-    # match each mirrored vertex against the vertex cloud
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(verts)
-    dists, _ = tree.query(mirrored)
-    sym = float(np.max(dists))
+    n = z.params.n
+    start, length = np.array(z.vertex_keys).T
+    mirror = _vertex_index(n, (start + length) % n, n - length)
+    sym = float(np.max(np.linalg.norm(verts + verts[mirror] - 2.0 * center, axis=1)))
     rep.margins["central_symmetry_residual"] = sym
     rep.checks["central_symmetry"] = sym <= tol
 
@@ -224,11 +233,9 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     planes = np.column_stack([normals, -np.einsum("ij,ij->i", normals, pts[:, 0])])
     viol = _max_plane_violation(planes, verts)
     rep.margins["max_face_plane_violation"] = viol
-
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(verts)
-    rep.checks["convex"] = viol <= max(tol, 1e-9) and len(hull.vertices) == len(verts)
+    # with closed_mesh, no vertex outside any face plane puts every face on
+    # the hull's boundary, so the surface is that boundary
+    rep.checks["convex"] = viol <= max(tol, 1e-9)
 
     return rep
 

@@ -135,6 +135,10 @@ class TestVerify:
     def test_theta_zero_suite(self):
         assert run(["verify", "-n", "16", "--theta", "0"]) == 0
 
+    def test_tiny_theta_keeps_the_exit_code_contract(self):
+        """The verdict at 3e-7 rad is not pinned; the command must not raise."""
+        assert run(["verify", "-n", "16", "--theta", "3e-7rad"]) in (0, 1)
+
     def test_failed_check_exits_1(self, monkeypatch, capsys):
         failing = VerificationReport(8, 0.5, 0.7, {"subtended": CheckResult(False, -1.0)})
         monkeypatch.setattr(cli, "run_verification", lambda *args: failing)

@@ -7,13 +7,117 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonet.unfold import (
-    assemble_net,
-    develop_zone,
-    planar_zone,
-    theta_zero_zone,
-)
-from zonet.zonohedron import Params, build
+from zonet.cli import DEFAULT_THETAS
+from zonet.unfold import PlanarZone, assemble_net, planar_zone, theta_zero_zone
+from zonet.zonohedron import Params, Zonohedron, build
+
+# The 3D rollout below is the independent reference for the closed-form
+# development: it builds the solid and rotates each rhomb about the shared
+# edge into the plane of its predecessor, placing the two free vertices
+# isometrically on the side opposite the previous face.
+
+ISOMETRY_TOL = 1e-10
+
+
+def _place_face(
+    pts3: np.ndarray,
+    anchors: tuple[int, int],
+    pos2: dict[int, tuple[float, float]],
+    ids: tuple[int, ...],
+    side: float,
+) -> None:
+    """Isometrically place a planar 3D face given two already-placed vertices.
+
+    ``side`` is the required sign of cross(q - p, v - p) for the free vertices,
+    with (p, q) the planar anchor images; the caller passes the opposite of the
+    previous face's side so the surface flattens rather than folds back.
+    """
+    ia, ib = anchors
+    P3, Q3 = pts3[ids.index(ia)], pts3[ids.index(ib)]
+    e1 = Q3 - P3
+    e1 = e1 / np.linalg.norm(e1)
+    # in-plane unit vector orthogonal to the anchor edge
+    free = [i for i in ids if i not in anchors]
+    R3 = pts3[ids.index(free[0])]
+    perp = (R3 - P3) - np.dot(R3 - P3, e1) * e1
+    e2 = perp / np.linalg.norm(perp)
+
+    p = np.array(pos2[ia])
+    q = np.array(pos2[ib])
+    u = q - p
+    u = u / np.linalg.norm(u)
+    for s in (1.0, -1.0):
+        uperp = s * np.array([-u[1], u[0]])
+        trial = {}
+        ok = True
+        for vid in free:
+            V3 = pts3[ids.index(vid)]
+            x = float(np.dot(V3 - P3, e1))
+            y = float(np.dot(V3 - P3, e2))
+            img = p + x * u + y * uperp
+            cross = u[0] * (img[1] - p[1]) - u[1] * (img[0] - p[0])
+            if cross * side < 0:
+                ok = False
+                break
+            trial[vid] = (float(img[0]), float(img[1]))
+        if ok:
+            pos2.update(trial)
+            return
+    raise RuntimeError("could not place face on the required side")
+
+
+def develop_zone(z: Zonohedron, zone_index: int = 0) -> PlanarZone:
+    """Develop one zone of a built zonohedron (theta > 0) into the plane."""
+    n = z.params.n
+    faces = [z.faces[i] for i in z.zones[zone_index]]
+    pos: dict[int, tuple[float, float]] = {}
+
+    # R_1 in cycle order (a, b, d, c): d is the north pole, edge (c, d) is the
+    # pole-side unit edge.  Pin d -> o and c -> (1, 0); free corners go below.
+    a0, b0, d0, c0 = faces[0].vertex_ids
+    pos[d0] = (0.0, 0.0)
+    pos[c0] = (1.0, 0.0)
+    _place_face(z.face_points(faces[0]), (c0, d0), pos, faces[0].vertex_ids, _side_below())
+
+    corners: list[tuple] = []
+    corners.append((pos[d0], pos[c0], pos[a0], pos[b0]))
+
+    prev_ids = faces[0].vertex_ids
+    for face in faces[1:]:
+        a, b, d, c = face.vertex_ids
+        # shared edge with the previous face: its (c, d) equals the previous (b, a)
+        pa, pb = prev_ids[0], prev_ids[1]
+        assert (c, d) == (pa, pb), "zone faces are not chained as expected"
+        p = np.array(pos[c])
+        q = np.array(pos[d])
+        u = q - p
+        # previous face's side w.r.t. the shared edge, probed with its far corner
+        far = pos[prev_ids[2]]
+        prev_side = u[0] * (far[1] - p[1]) - u[1] * (far[0] - p[0])
+        _place_face(
+            z.face_points(face), (c, d), pos, face.vertex_ids, -math.copysign(1.0, prev_side)
+        )
+        corners.append((pos[d], pos[c], pos[a], pos[b]))
+        prev_ids = face.vertex_ids
+
+    zone = PlanarZone(n, z.params.theta, z.params.alpha, tuple(corners))
+    _check_standard_orientation(zone)
+    return zone
+
+
+def _side_below() -> float:
+    # anchors are passed as (c, d) = ((1,0) -> o), so u = o - (1,0) = (-1, 0)
+    # and cross(u, v - p) < 0 puts v in the lower half-plane... sign worked out
+    # once here so the call site stays readable.
+    # u = (-1, 0); cross = u_x*dy - u_y*dx = -dy; below (dy < 0) => cross > 0.
+    return 1.0
+
+
+def _check_standard_orientation(zone: PlanarZone, tol: float = ISOMETRY_TOL) -> None:
+    for tl, tr, br, bl in zone.corners:
+        for p0, p1 in ((tl, tr), (bl, br)):
+            if abs(p1[1] - p0[1]) > tol or abs(abs(p1[0] - p0[0]) - 1.0) > tol:
+                raise RuntimeError("development lost standard orientation")
 
 
 def max_corner_deviation(a, b):
@@ -73,6 +177,26 @@ class TestIsometry:
             assert math.dist(prev[2], cur[1]) < 1e-12
 
 
+NONZERO_THETAS_DEG = [float(t) for t in DEFAULT_THETAS.split(",") if float(t) != 0.0]
+
+
+class TestClosedFormAgainstRollout:
+    @pytest.mark.parametrize("n", (3, 4, 7, 16, 31, 32))
+    @pytest.mark.parametrize("theta_deg", NONZERO_THETAS_DEG)
+    def test_matches_3d_rollout(self, n, theta_deg):
+        theta = math.radians(theta_deg)
+        rolled = develop_zone(build(Params(n, theta)), 0)
+        assert max_corner_deviation(planar_zone(n, theta), rolled) < 1e-10
+
+    @pytest.mark.parametrize("n", (8, 32))
+    def test_tiny_theta_resolves_the_flat_rhomb(self, n):
+        """At theta = 1e-8 rad the central rhomb's sharp corner 2*theta survives."""
+        zone = planar_zone(n, 1e-8)
+        tl, _, _, bl = zone.corners[n // 2 - 1]
+        # its left edge is the unit vector at angle -(pi - 2*theta)
+        assert tl[1] - bl[1] == pytest.approx(2e-8, rel=1e-7)
+
+
 class TestZoneSymmetry:
     def test_every_zone_develops_identically(self):
         """Rotational symmetry: each zone of the solid unrolls to the same shape."""
@@ -121,10 +245,10 @@ class TestThetaZero:
             assert chain[k][1] + chain[last - k][1] == pytest.approx(sy, abs=1e-9)
 
     def test_matches_small_theta_limit(self):
-        """The direct theta = 0 construction is the limit of the 3D rollout."""
+        """The theta = 0 development is the limit of the 3D rollout."""
         n = 12
         z0 = theta_zero_zone(n)
-        zt = planar_zone(n, 1e-5)
+        zt = develop_zone(build(Params(n, 1e-5)), 0)
         # the development drifts linearly in theta near the degenerate case
         assert max_corner_deviation(z0, zt) < 1e-4
 

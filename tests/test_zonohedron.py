@@ -2,13 +2,18 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+import zonet
 from zonet.zonohedron import (
     ConstructionError,
     HULL_BLOCK,
@@ -85,6 +90,18 @@ class TestRhombAngles:
         p = Params(16, 1e-12)
         assert math.degrees(rhomb_angle(p, 1)) == pytest.approx(22.5, abs=1e-9)
 
+    @pytest.mark.parametrize("n", (3, 16, 21, 64))
+    @pytest.mark.parametrize("theta", (1e-8, math.radians(1), math.radians(20), math.radians(89.5)))
+    def test_within_a_few_ulps_of_50_digits(self, n, theta):
+        """Near pi (the flat rhomb at small theta) an acos form is off by ~1e7 ulps."""
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            for k in range(1, n):
+                cos_gamma = mpmath.cos(t) ** 2 * mpmath.cos(2 * mpmath.pi * k / n) + mpmath.sin(t) ** 2
+                exact = mpmath.acos(cos_gamma)
+                got = rhomb_angle(Params(n, theta), k)
+                assert abs(got - exact) <= 4 * math.ulp(float(exact)), (k, got, exact)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             rhomb_angle(Params(8, 0.3), 8)
@@ -142,6 +159,12 @@ class TestStructure:
     def test_validation_passes_across_parameter_space(self, n, theta):
         rep = validate(build(Params(n, theta)))
         assert rep.passed, rep.failures()
+
+    @pytest.mark.parametrize("n", (32, 40, 64))
+    def test_builds_at_tiny_theta(self, n):
+        """The nearly flat solid is convex: no hull-vertex count rejects it."""
+        rep = validate(build(Params(n, 1e-12)))
+        assert rep.margins["max_face_plane_violation"] < 1e-12
 
     def test_validation_margins_are_tiny(self):
         rep = validate(build(Params(16, math.radians(20))))
@@ -216,6 +239,12 @@ class TestValidationFaults:
         assert not rep.checks["central_symmetry"]
         assert rep.margins["central_symmetry_residual"] == pytest.approx(1e-3, rel=1e-6)
 
+    def test_moved_vertex_leaves_its_mirror(self, z):
+        i = len(z.vertices) // 3
+        rep = validate(self._with_vertex(z, i, z.vertices[i] + [0.0, 3e-6, -4e-6]))
+        assert not rep.checks["central_symmetry"]
+        assert rep.margins["central_symmetry_residual"] == pytest.approx(5e-6, rel=1e-6)
+
     def test_vertex_pushed_inward_fails_convex(self, z):
         i = len(z.vertices) // 2
         centre = 0.5 * (z.north_pole + z.south_pole)
@@ -240,3 +269,21 @@ class TestValidationFaults:
         verts = rng.normal(size=(50, 3))
         full = np.max(eqs[:, :3] @ verts.T + eqs[:, 3:4])
         assert _max_plane_violation(eqs, verts) == pytest.approx(full, abs=1e-14)
+
+
+def test_library_runs_without_scipy():
+    """build, validate, verification and net assembly never import scipy."""
+    code = (
+        "import sys, zonet\n"
+        "zonet.build(zonet.Params(8, 0.3))\n"
+        "zonet.run_verification(8, 0.3)\n"
+        "zonet.assemble_net(8, 0.3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = [os.path.dirname(os.path.dirname(zonet.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
