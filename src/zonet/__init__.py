@@ -15,7 +15,6 @@ from .verify import (
     VerificationReport,
     beta_of_r,
     beta_profile,
-    max_beta,
     net_overlap_oracle,
     rhomb_subtended_angles,
     run_verification,
@@ -36,7 +35,6 @@ __all__ = [
     "build",
     "crescent",
     "generators",
-    "max_beta",
     "net_overlap_oracle",
     "planar_zone",
     "rhomb_angle",

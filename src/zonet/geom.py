@@ -1,7 +1,9 @@
 """Planar primitives: angles, angular interval sets, circle/quad arcs, exact overlap.
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
-units.  The overlap predicate for convex polygons is a filtered float predicate
+units.  ``circle_quad_arcs`` returns the raw arcs of one circle inside one quad,
+so a caller that collects arcs over many quads merges them once, with
+``AngularIntervalSet.from_intervals``.  The overlap predicate for convex polygons is a filtered float predicate
 with an exact rational fallback: each orientation is decided in floating point
 when its error bound allows and otherwise on the binary-float values embedded
 losslessly as rationals, so "touching" versus "overlapping" is decided exactly
@@ -11,7 +13,7 @@ with respect to the coordinates actually computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,10 +45,6 @@ class AngularIntervalSet:
     """
 
     intervals: tuple[tuple[float, float], ...] = ()
-
-    @staticmethod
-    def empty() -> "AngularIntervalSet":
-        return AngularIntervalSet(())
 
     @staticmethod
     def full_circle() -> "AngularIntervalSet":
@@ -98,11 +96,6 @@ class AngularIntervalSet:
     @property
     def measure(self) -> float:
         return sum(e - s for s, e in self.intervals)
-
-    def rotated(self, delta: float) -> "AngularIntervalSet":
-        return AngularIntervalSet.from_intervals(
-            tuple((s + delta, e + delta) for s, e in self.intervals)
-        )
 
 
 def shortest_covering_arc(s: AngularIntervalSet) -> float | None:
@@ -255,19 +248,6 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class CircleQuadArcs:
-    """Arcs of a circle lying inside a quad, plus isolated touch angles.
-
-    Zero-measure contacts (tangency, degenerate quad) are reported in
-    ``touches`` and never as intervals: the overlap machinery cares about
-    interior points only.
-    """
-
-    intervals: AngularIntervalSet
-    touches: tuple[float, ...] = ()
-
-
 def _segment_circle_params(p: Point2, q: Point2, r: float) -> list[float]:
     """Parameters t in [0,1] where segment p+t(q-p) meets the circle |x|=r."""
     dx, dy = q[0] - p[0], q[1] - p[1]
@@ -288,16 +268,23 @@ def _segment_circle_params(p: Point2, q: Point2, r: float) -> list[float]:
     return out
 
 
-def circle_quad_arcs(center: Point2, r: float, q: ConvexQuad) -> CircleQuadArcs:
-    """Angular intervals phi with center + r*(cos phi, sin phi) inside quad ``q``.
+def circle_quad_arcs(
+    center: Point2, r: float, q: ConvexQuad
+) -> tuple[tuple[float, float], ...]:
+    """CCW arcs (start, end) of angles phi with center + r*(cos phi, sin phi)
+    inside quad ``q``, unmerged; feed them to ``AngularIntervalSet.from_intervals``.
 
     The circle is intersected with each edge; the resulting angular partition is
-    classified by midpoint membership.  At most 4 intervals can result.
+    classified by midpoint membership.  At most 4 arcs can result.  Zero-measure
+    contacts (tangency, a degenerate quad) give no arc: the overlap machinery
+    cares about interior points only.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
+    if q.degenerate:
+        return ()
     vs = [(x - center[0], y - center[1]) for x, y in q.vertices]
-    shifted = ConvexQuad(tuple(vs), degenerate=q.degenerate)  # type: ignore[arg-type]
+    shifted = ConvexQuad(tuple(vs))  # type: ignore[arg-type]
 
     crossings: list[float] = []
     for p0, p1 in shifted.edges():
@@ -305,9 +292,6 @@ def circle_quad_arcs(center: Point2, r: float, q: ConvexQuad) -> CircleQuadArcs:
             x = p0[0] + t * (p1[0] - p0[0])
             y = p0[1] + t * (p1[1] - p0[1])
             crossings.append(math.atan2(y, x) % TWO_PI)
-
-    if q.degenerate:
-        return CircleQuadArcs(AngularIntervalSet.empty(), tuple(sorted(set(crossings))))
 
     # dedupe circularly (circle through a quad vertex hits two edges there)
     crossings.sort()
@@ -319,13 +303,9 @@ def circle_quad_arcs(center: Point2, r: float, q: ConvexQuad) -> CircleQuadArcs:
         dedup.pop()
 
     if not dedup:
-        probe = (r, 0.0)
-        if shifted.contains(probe):
-            return CircleQuadArcs(AngularIntervalSet.full_circle())
-        return CircleQuadArcs(AngularIntervalSet.empty())
+        return ((0.0, TWO_PI),) if shifted.contains((r, 0.0)) else ()
 
     arcs: list[tuple[float, float]] = []
-    inside_flags: list[bool] = []
     m = len(dedup)
     for i in range(m):
         a = dedup[i]
@@ -333,18 +313,9 @@ def circle_quad_arcs(center: Point2, r: float, q: ConvexQuad) -> CircleQuadArcs:
         if i == m - 1:
             b += TWO_PI
         mid = 0.5 * (a + b)
-        p = (r * math.cos(mid), r * math.sin(mid))
-        ins = shifted.contains(p)
-        inside_flags.append(ins)
-        if ins:
+        if shifted.contains((r * math.cos(mid), r * math.sin(mid))):
             arcs.append((a, b))
-
-    touches = tuple(
-        dedup[i]
-        for i in range(m)
-        if not inside_flags[i] and not inside_flags[(i - 1) % m]
-    )
-    return CircleQuadArcs(AngularIntervalSet.from_intervals(arcs), touches)
+    return tuple(arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 
 from .geom import (
     AngularIntervalSet,
-    ConvexQuad,
     circle_quad_arcs,
     covering_arc_of_angles,
     polygons_interior_overlap,
@@ -58,8 +57,8 @@ def zone_arcs(
         dmin, dmax = ranges[i]
         if not (dmin - 1e-12 <= r <= dmax + 1e-12):
             continue
-        pieces.extend(circle_quad_arcs((0.0, 0.0), r, zone.rhombs[i]).intervals.intervals)
-    return AngularIntervalSet.from_intervals(tuple(pieces))
+        pieces.extend(circle_quad_arcs((0.0, 0.0), r, zone.rhombs[i]))
+    return AngularIntervalSet.from_intervals(pieces)
 
 
 def beta_of_r(
@@ -131,10 +130,6 @@ def beta_profile(
     return out
 
 
-def max_beta(zone: PlanarZone, samples_per_interval: int = SAMPLES_PER_INTERVAL) -> float:
-    return max(b for _, b in beta_profile(zone, samples_per_interval))
-
-
 # ---------------------------------------------------------------------------
 # per-rhomb subtended angles and the diagonal-perpendicular test
 
@@ -202,11 +197,13 @@ class FlatRhombReport:
     axis_diagonal: float  # along the near-flat axis: 2*cos(theta) in theory
     cross_diagonal: float  # across it: 2*sin(theta), the "lift" of the far end
     radial_lift: float  # |o b| - |o a| for the axis-diagonal ends a, b
-    max_chord: float  # over sampled radii crossing the central rhomb
+    max_chord: float  # over the profile's radii crossing the central rhomb
     chord_at_corner_radius: float
 
 
-def flat_rhomb_check(zone: PlanarZone) -> FlatRhombReport:
+def flat_rhomb_check(
+    zone: PlanarZone, profile: list[tuple[float, float]]
+) -> FlatRhombReport:
     """Measurements backing the chord bound |xy| < 2 at the central rhomb.
 
     Requires n even.  The central rhomb has unit sides and one corner angle
@@ -214,7 +211,8 @@ def flat_rhomb_check(zone: PlanarZone) -> FlatRhombReport:
     axis, approaching the doubled unit segment as theta -> 0) and 2*sin(theta)
     (how far the outer end is pushed off that axis).  That push strictly
     raises the outer end's radius from o once theta > 0, which is what keeps
-    every chord of C(r) within the zone short of length 2.
+    every chord of C(r) within the zone short of length 2.  ``profile`` is
+    the zone's ``beta_profile``: the chords are measured at its radii.
     """
     n = zone.n
     if n % 2 != 0:
@@ -233,14 +231,15 @@ def flat_rhomb_check(zone: PlanarZone) -> FlatRhombReport:
     if abs(math.pi - corner - 2.0 * theta) < abs(corner - 2.0 * theta):
         corner = math.pi - corner
 
-    ranges = zone.radius_ranges
-    lo, hi = ranges[n // 2 - 1]
-    worst = 0.0
-    for r in sample_radii(zone):
-        if lo - EVENT_EPS <= r <= hi + EVENT_EPS:
-            b = beta_of_r(zone, r)
-            if b is not None:
-                worst = max(worst, 2.0 * r * math.sin(min(b, math.pi) / 2.0))
+    lo, hi = zone.radius_ranges[n // 2 - 1]
+    worst = max(
+        (
+            2.0 * r * math.sin(min(b, math.pi) / 2.0)
+            for r, b in profile
+            if lo - EVENT_EPS <= r <= hi + EVENT_EPS
+        ),
+        default=0.0,
+    )
     r_corner = max(ra - 1e-10, 1e-10)
     b = beta_of_r(zone, r_corner)
     chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(min(b, math.pi) / 2.0)
@@ -248,10 +247,11 @@ def flat_rhomb_check(zone: PlanarZone) -> FlatRhombReport:
 
 
 def _corner_angle(u, v, w) -> float:
+    # atan2 keeps full relative precision at angles near 0 and pi, where acos
+    # of the normalised dot product loses half the digits
     ax, ay = u[0] - v[0], u[1] - v[1]
     bx, by = w[0] - v[0], w[1] - v[1]
-    c = (ax * bx + ay * by) / (math.hypot(ax, ay) * math.hypot(bx, by))
-    return math.acos(min(1.0, max(-1.0, c)))
+    return math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,10 @@ class VerificationReport:
     alpha: float
     checks: dict[str, CheckResult] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
+    # raw measurements behind beta_le_alpha and net_overlap, kept out of
+    # as_dict; overlap_pairs stays 0 when the oracle is not run
+    max_beta: float = math.nan
+    overlap_pairs: int = 0
 
     @property
     def passed(self) -> bool:
@@ -363,7 +367,7 @@ def run_verification(
     rep = VerificationReport(n, theta, alpha)
 
     profile = beta_profile(zone, samples_per_interval)
-    worst = max(b for _, b in profile)
+    worst = rep.max_beta = max(b for _, b in profile)
     rep.checks["beta_le_alpha"] = CheckResult(
         worst <= alpha + BETA_TOL, alpha + BETA_TOL - worst, f"max beta {worst:.12f}"
     )
@@ -430,7 +434,7 @@ def run_verification(
         )
 
     if flat is not None:
-        fr = flat_rhomb_check(zone)
+        fr = flat_rhomb_check(zone, profile)
         angle_ok = abs(fr.corner_angle - 2.0 * theta) <= ANGLE_TOL
         lift_ok = abs(fr.cross_diagonal - 2.0 * math.sin(theta)) <= ANGLE_TOL
         if theta > 0.0:
@@ -453,6 +457,7 @@ def run_verification(
     if check_overlap:
         net = assemble_net(n, theta)
         hits = net_overlap_oracle(net)
+        rep.overlap_pairs = len(hits)
         rep.checks["net_overlap"] = CheckResult(
             not hits, float(-len(hits)), f"{len(hits)} overlapping pairs"
         )

@@ -20,6 +20,7 @@ from zonet.cli import DEFAULT_THETAS, _sweep_cell, main, parse_theta
 from zonet.unfold import Net, assemble_net, planar_zone, theta_zero_zone
 from zonet.verify import (
     beta_of_r,
+    beta_profile,
     diagonal_perpendicular_test,
     flat_rhomb_check,
     net_overlap_oracle,
@@ -49,7 +50,9 @@ def test_01_alpha_anchors():
 
 
 def test_02_full_grid_beta_bound_and_overlap_oracle():
-    """Every grid cell: max beta(r) <= alpha + 1e-9 and zero overlapping pairs."""
+    """Every grid cell passes every verify check: max beta(r) <= alpha + 1e-9,
+    zero overlapping pairs, and the subtended, diagonal or half-zone, and
+    central-rhomb checks."""
     thetas = DEFAULT_THETAS.split(",")
     failures = []
     worst_margin = math.inf
@@ -62,7 +65,7 @@ def test_02_full_grid_beta_bound_and_overlap_oracle():
     assert not failures, failures
     report(
         f"2 full-grid sweep (480 cells): pass "
-        f"(worst alpha - max beta = {worst_margin:.3e} rad, all oracles clean)"
+        f"(worst alpha - max beta = {worst_margin:.3e} rad, every verify check passes)"
     )
 
 
@@ -118,10 +121,12 @@ def test_05_flat_rhomb_angle_and_chord_bound():
     for n in range(4, 33, 2):
         for theta_deg in (0.5, 1.0, 5.0):
             theta = math.radians(theta_deg)
-            fr = flat_rhomb_check(planar_zone(n, theta))
+            zone = planar_zone(n, theta)
+            fr = flat_rhomb_check(zone, beta_profile(zone))
             assert abs(fr.corner_angle - 2.0 * theta) < 1e-10, (n, theta_deg)
             assert fr.max_chord < 2.0 - 1e-12, (n, theta_deg, fr.max_chord)
-        fr0 = flat_rhomb_check(theta_zero_zone(n))
+        zone0 = theta_zero_zone(n)
+        fr0 = flat_rhomb_check(zone0, beta_profile(zone0))
         assert abs(fr0.chord_at_corner_radius - 2.0) <= 1e-9, (n, fr0)
     report("5 flat rhomb: pass (corner = 2 theta, chords < 2; = 2 at theta = 0)")
 

@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from zonet import cli
+from zonet import cli, verify
 from zonet.cli import main, parse_theta
-from zonet.verify import CheckResult, VerificationReport
+from zonet.verify import CheckResult, VerificationReport, run_verification
 
 
 def run(argv):
@@ -206,6 +206,32 @@ class TestSweep:
         assert run(["sweep", *grid, "--jobs", "1", "--csv", str(a)]) == 0
         assert run(["sweep", *grid, "--jobs", "4", "--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failing_verify_check_fails_the_row(self, monkeypatch, tmp_path):
+        """A check outside the beta bound and the oracle still fails the sweep."""
+        real = verify.diagonal_perpendicular_test
+        monkeypatch.setattr(
+            verify, "diagonal_perpendicular_test", lambda zone: [*real(zone)[:-1], 1e-3]
+        )
+        assert cli._sweep_cell((16, "20", 9))[-1] == "fail"
+        grid = ["--n-min", "16", "--n-max", "16", "--thetas", "20", "--jobs", "1"]
+        assert run(["sweep", *grid, "--csv", str(tmp_path / "s.csv")]) == 1
+
+    def test_rows_are_the_verify_verdict(self):
+        for n in range(3, 9):
+            for t in ("0", "0.5", "20", "89.5"):
+                row = cli._sweep_cell((n, t, 9))
+                rep = run_verification(n, parse_theta(t))
+                assert row[-1] == ("pass" if rep.passed else "fail"), (n, t)
+                assert row[5] == rep.overlap_pairs, (n, t)
+
+    def test_samples_reach_max_beta(self, tmp_path):
+        out = tmp_path / "s.csv"
+        grid = ["--n-min", "8", "--n-max", "8", "--thetas", "20", "--samples", "3"]
+        assert run(["sweep", *grid, "--csv", str(out)]) == 0
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        rep = run_verification(8, math.radians(20), 3)
+        assert row["max_beta_deg"] == "%.9f" % math.degrees(rep.max_beta)
 
 
 class TestCrescentCommand:

@@ -89,18 +89,21 @@ class TestCircleQuadArcs:
     def quad(self):
         return ConvexQuad.from_vertices(UNIT_SQUARE)
 
+    def arcs(self, center, r):
+        return AngularIntervalSet.from_intervals(circle_quad_arcs(center, r, self.quad()))
+
     def test_circle_missing_quad(self):
-        arcs = circle_quad_arcs((5.0, 5.0), 1.0, self.quad())
-        assert arcs.intervals.measure == 0.0
+        arcs = self.arcs((5.0, 5.0), 1.0)
+        assert arcs.measure == 0.0
 
     def test_circle_inside_quad(self):
-        arcs = circle_quad_arcs((0.5, 0.5), 0.25, self.quad())
-        assert arcs.intervals.measure == pytest.approx(TWO_PI, abs=1e-12)
+        arcs = self.arcs((0.5, 0.5), 0.25)
+        assert arcs.measure == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_quarter_circle_at_corner(self):
         # circle about the origin crossing the unit square: a quarter arc
-        arcs = circle_quad_arcs((0.0, 0.0), 0.5, self.quad())
-        assert arcs.intervals.measure == pytest.approx(math.pi / 2.0, abs=1e-12)
+        arcs = self.arcs((0.0, 0.0), 0.5)
+        assert arcs.measure == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     @given(
         st.floats(-1.5, 2.5),
@@ -110,7 +113,7 @@ class TestCircleQuadArcs:
     @settings(max_examples=150, deadline=None)
     def test_against_dense_sampling(self, cx, cy, r):
         """Measured arc length agrees with brute-force membership sampling."""
-        arcs = circle_quad_arcs((cx, cy), r, self.quad())
+        arcs = self.arcs((cx, cy), r)
         m = 4000
         inside = 0
         for i in range(m):
@@ -119,7 +122,7 @@ class TestCircleQuadArcs:
             if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
                 inside += 1
         sampled = TWO_PI * inside / m
-        assert arcs.intervals.measure == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
+        assert arcs.measure == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
 
 
 class TestShrinkConvex:

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from zonet import verify
 from zonet.geom import polygons_interior_overlap
-from zonet.unfold import Net, assemble_net, planar_zone
+from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
     beta_profile,
     critical_radii,
     diagonal_perpendicular_test,
     flat_rhomb_check,
-    max_beta,
     net_overlap_oracle,
     rhomb_subtended_angles,
     run_verification,
@@ -40,7 +39,7 @@ class TestBetaOfR:
     def test_profile_is_bounded_by_alpha(self):
         for n, theta_deg in ((16, 20.0), (24, 40.0), (8, 50.0), (5, 85.0)):
             zone = planar_zone(n, math.radians(theta_deg))
-            assert max_beta(zone) <= zone.alpha + 1e-9
+            assert max(b for _, b in beta_profile(zone)) <= zone.alpha + 1e-9
 
     def test_matches_dense_membership_sampling(self):
         """Event-driven arcs agree with brute-force point membership."""
@@ -146,22 +145,35 @@ class TestDiagonalPerpendicular:
             assert abs(offsets[i - 1]) < 1e-6
 
 
+def flat_rhomb(n, theta):
+    zone = planar_zone(n, theta)
+    return flat_rhomb_check(zone, beta_profile(zone))
+
+
 class TestFlatRhomb:
     @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0, 50.0])
     def test_corner_angle_is_two_theta(self, theta_deg):
         theta = math.radians(theta_deg)
-        fr = flat_rhomb_check(planar_zone(16, theta))
+        fr = flat_rhomb(16, theta)
         assert fr.corner_angle == pytest.approx(2 * theta, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-8])
+    def test_corner_angle_keeps_full_precision_at_tiny_theta(self, n, theta):
+        """The measured corner resolves 2 theta to a few ulps of pi.  The
+        flat_rhomb verdict here is not pinned: its fixed margins do not
+        scale with theta."""
+        assert abs(flat_rhomb(n, theta).corner_angle - 2 * theta) <= 1e-15
 
     @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0])
     def test_diagonals_are_exact(self, theta_deg):
         theta = math.radians(theta_deg)
-        fr = flat_rhomb_check(planar_zone(12, theta))
+        fr = flat_rhomb(12, theta)
         assert fr.axis_diagonal == pytest.approx(2 * math.cos(theta), abs=1e-10)
         assert fr.cross_diagonal == pytest.approx(2 * math.sin(theta), abs=1e-10)
 
     def test_lift_positive_but_chords_short_of_two(self):
-        fr = flat_rhomb_check(planar_zone(16, math.radians(1.0)))
+        fr = flat_rhomb(16, math.radians(1.0))
         assert fr.radial_lift > 0.0
         assert fr.max_chord < 2.0
         # frozen: the lift and worst chord at this parameter point
@@ -169,12 +181,12 @@ class TestFlatRhomb:
         assert fr.max_chord == pytest.approx(1.876447243, abs=1e-8)
 
     def test_theta_zero_chord_reaches_two(self):
-        fr = flat_rhomb_check(planar_zone(16, 0.0))
+        fr = flat_rhomb(16, 0.0)
         assert fr.chord_at_corner_radius == pytest.approx(2.0, abs=1e-9)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
-            flat_rhomb_check(planar_zone(9, math.radians(20)))
+            flat_rhomb(9, math.radians(20))
 
 
 class TestOverlapOracle:
@@ -261,3 +273,89 @@ class TestRunVerification:
         doc = rep.as_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["pass"] is True
+
+
+
+def _turn(p, angle, about=(0.0, 0.0)):
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = p[0] - about[0], p[1] - about[1]
+    return (about[0] + c * x - s * y, about[1] + s * x + c * y)
+
+
+def _turn_rhomb(k, alpha_share):
+    """Turn rhomb R_{k+1} about o by a share of alpha."""
+
+    def edit(corners, alpha):
+        corners[k] = [_turn(p, alpha_share * alpha) for p in corners[k]]
+
+    return edit
+
+
+def _spin_rhomb(k, angle):
+    """Turn rhomb R_{k+1} about its own center."""
+
+    def edit(corners, alpha):
+        quad = corners[k]
+        center = (sum(p[0] for p in quad) / 4, sum(p[1] for p in quad) / 4)
+        corners[k] = [_turn(p, angle, center) for p in quad]
+
+    return edit
+
+
+def _move_corner(k, j, dx, dy):
+    def edit(corners, alpha):
+        x, y = corners[k][j]
+        corners[k][j] = (x + dx, y + dy)
+
+    return edit
+
+
+def _turn_corner(k, j, angle):
+    def edit(corners, alpha):
+        corners[k][j] = _turn(corners[k][j], angle)
+
+    return edit
+
+
+def _drop_far_edge(k, dy):
+    def edit(corners, alpha):
+        tl, tr, br, bl = corners[k]
+        corners[k] = [tl, tr, (br[0], br[1] - dy), (bl[0], bl[1] - dy)]
+
+    return edit
+
+
+class TestFaultInjection:
+    """A geometric fault in the developed zone trips exactly the named check.
+
+    ``run_verification`` reads its zone through ``verify.planar_zone``; the
+    net for the overlap oracle is assembled from the true zone, so these
+    faults leave ``net_overlap`` clean.
+    """
+
+    @pytest.mark.parametrize(
+        "check,n,theta_deg,edit",
+        [
+            # R_3 turned about o by alpha/2: C(r)'s arc grows beyond alpha
+            ("beta_le_alpha", 9, 30.0, _turn_rhomb(2, 0.5)),
+            # R_1's corner on the left chain turned 1e-6 toward tr: beta_1 < alpha
+            ("subtended", 9, 30.0, _turn_corner(0, 3, 1e-6)),
+            # R_2 spun 0.02 rad: its diagonal's bisector passes above o
+            ("diagonals", 9, 30.0, _spin_rhomb(1, -0.02)),
+            # R_2's top-right corner pulled 1e-6 left: C(r) covers less than alpha
+            ("upper_half", 9, 0.0, _move_corner(1, 1, -1e-6, 0.0)),
+            # R_6 turned about o by 0.3 alpha: a lower-half arc exceeds alpha/2
+            ("lower_half", 9, 0.0, _turn_rhomb(5, 0.3)),
+            # the central rhomb's far edge dropped 1e-6: its corner is not 2 theta
+            ("flat_rhomb", 16, 20.0, _drop_far_edge(7, 1e-6)),
+        ],
+    )
+    def test_fault_trips_only_its_check(self, monkeypatch, check, n, theta_deg, edit):
+        theta = math.radians(theta_deg)
+        zone = planar_zone(n, theta)
+        corners = [list(quad) for quad in zone.corners]
+        edit(corners, zone.alpha)
+        bad = PlanarZone(n, theta, zone.alpha, tuple(tuple(q) for q in corners))
+        monkeypatch.setattr(verify, "planar_zone", lambda *_: bad)
+        rep = run_verification(n, theta)
+        assert rep.failures() == [check]
