@@ -1,9 +1,11 @@
 """Planar primitives: angles, angular interval sets, circle/quad arcs, exact overlap.
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
-units.  ``circle_quad_arcs`` returns the raw arcs of one circle inside one quad,
-so a caller that collects arcs over many quads merges them once, with
-``AngularIntervalSet.from_intervals``.  The overlap predicate for convex polygons is a filtered float predicate
+units.  ``circle_quad_arcs`` returns the raw arcs of one circle about the origin
+inside one quad, so a caller that collects arcs over many quads merges them once,
+with ``AngularIntervalSet.from_intervals``.  Each quad caches its per-edge
+circle-crossing coefficients, so only the radius-dependent terms are computed
+per call.  The overlap predicate for convex polygons is a filtered float predicate
 with an exact rational fallback: each orientation is decided in floating point
 when its error bound allows and otherwise on the binary-float values embedded
 losslessly as rationals, so "touching" versus "overlapping" is decided exactly
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -22,6 +25,13 @@ TWO_PI = 2.0 * math.pi
 #: gaps smaller than this are merged when building interval sets (float noise
 #: at shared rhomb edges)
 MERGE_EPS = 1e-12
+#: edges whose squared length is below this are points: they cross no circle
+NULL_EDGE_SQ = 1e-30
+#: slack on the segment parameter t in [0, 1] of a circle crossing; a root
+#: within it is clamped onto the segment's end
+CROSSING_T_SLACK = 1e-12
+#: a point this far outside an edge line still counts as inside a quad
+CONTAIN_TOL = 1e-12
 
 Point2 = tuple[float, float]
 
@@ -172,21 +182,46 @@ class ConvexQuad:
                 return False
         return True
 
-    def contains(self, p: Point2, tol: float = 1e-12) -> bool:
+    def contains(self, p: Point2, tol: float = CONTAIN_TOL) -> bool:
         """Closed containment test (boundary counts as inside)."""
         if self.degenerate:
             return False
-        vs = self.vertices
-        for i in range(4):
-            a, b = vs[i], vs[(i + 1) % 4]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross < -tol:
-                return False
-        return True
+        return _inside(self.circle_table[1], p[0], p[1], tol)
 
-    def edges(self) -> list[tuple[Point2, Point2]]:
+    @cached_property
+    def circle_table(
+        self,
+    ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+        """Per-edge coefficients for meeting circles about the origin.
+
+        ``(crossing, sides)``: ``crossing`` holds ``(x0, y0, dx, dy, a, b, cc,
+        2a)`` for every edge ``(x0, y0) + t (dx, dy)`` of positive length,
+        where ``a t^2 + b t + cc - r^2 = 0`` puts the edge point on the circle
+        of radius r; ``sides`` holds ``(x0, y0, dx, dy)`` for all four edges,
+        for the containment test.  Computed once per quad, so a circle of
+        each new radius costs only its radius-dependent terms.
+        """
         vs = self.vertices
-        return [(vs[i], vs[(i + 1) % 4]) for i in range(4)]
+        crossing = []
+        sides = []
+        for i in range(4):
+            (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % 4]
+            dx, dy = x1 - x0, y1 - y0
+            sides.append((x0, y0, dx, dy))
+            a = dx * dx + dy * dy
+            if a < NULL_EDGE_SQ:
+                continue
+            b = 2.0 * (x0 * dx + y0 * dy)
+            crossing.append((x0, y0, dx, dy, a, b, x0 * x0 + y0 * y0, 2.0 * a))
+        return tuple(crossing), tuple(sides)
+
+
+def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float) -> bool:
+    """Closed test of (x, y) against the CCW edge lines ``(x0, y0, dx, dy)``."""
+    for x0, y0, dx, dy in sides:
+        if dx * (y - y0) - dy * (x - x0) < -tol:
+            return False
+    return True
 
 
 def shrink_convex(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
@@ -248,50 +283,35 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
     return s
 
 
-def _segment_circle_params(p: Point2, q: Point2, r: float) -> list[float]:
-    """Parameters t in [0,1] where segment p+t(q-p) meets the circle |x|=r."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    a = dx * dx + dy * dy
-    if a < 1e-30:
-        return []
-    b = 2.0 * (p[0] * dx + p[1] * dy)
-    c = p[0] * p[0] + p[1] * p[1] - r * r
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    ts = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    out = []
-    for t in ts:
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            out.append(min(max(t, 0.0), 1.0))
-    return out
+def circle_quad_arcs(r: float, q: ConvexQuad) -> tuple[tuple[float, float], ...]:
+    """CCW arcs (start, end) of angles phi with r*(cos phi, sin phi) inside
+    quad ``q``, unmerged; feed them to ``AngularIntervalSet.from_intervals``.
 
-
-def circle_quad_arcs(
-    center: Point2, r: float, q: ConvexQuad
-) -> tuple[tuple[float, float], ...]:
-    """CCW arcs (start, end) of angles phi with center + r*(cos phi, sin phi)
-    inside quad ``q``, unmerged; feed them to ``AngularIntervalSet.from_intervals``.
-
-    The circle is intersected with each edge; the resulting angular partition is
-    classified by midpoint membership.  At most 4 arcs can result.  Zero-measure
-    contacts (tangency, a degenerate quad) give no arc: the overlap machinery
-    cares about interior points only.
+    The circle is about the origin (translate the quad to move it).  It is
+    intersected with each edge, using the quad's cached ``circle_table``; the
+    resulting angular partition is classified by midpoint membership.  At
+    most 4 arcs can result.  Zero-measure contacts (tangency, a degenerate
+    quad) give no arc: the overlap machinery cares about interior points only.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if q.degenerate:
         return ()
-    vs = [(x - center[0], y - center[1]) for x, y in q.vertices]
-    shifted = ConvexQuad(tuple(vs))  # type: ignore[arg-type]
-
+    crossing, sides = q.circle_table
+    rr = r * r
     crossings: list[float] = []
-    for p0, p1 in shifted.edges():
-        for t in _segment_circle_params(p0, p1, r):
-            x = p0[0] + t * (p1[0] - p0[0])
-            y = p0[1] + t * (p1[1] - p0[1])
-            crossings.append(math.atan2(y, x) % TWO_PI)
+    for x0, y0, dx, dy, a, b, cc, a2 in crossing:
+        disc = b * b - 4.0 * a * (cc - rr)
+        if disc < 0.0:
+            continue
+        sq = math.sqrt(disc)
+        for t in ((-b - sq) / a2, (-b + sq) / a2):
+            if -CROSSING_T_SLACK <= t <= 1.0 + CROSSING_T_SLACK:
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                crossings.append(math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI)
 
     # dedupe circularly (circle through a quad vertex hits two edges there)
     crossings.sort()
@@ -303,7 +323,7 @@ def circle_quad_arcs(
         dedup.pop()
 
     if not dedup:
-        return ((0.0, TWO_PI),) if shifted.contains((r, 0.0)) else ()
+        return ((0.0, TWO_PI),) if _inside(sides, r, 0.0, CONTAIN_TOL) else ()
 
     arcs: list[tuple[float, float]] = []
     m = len(dedup)
@@ -313,7 +333,11 @@ def circle_quad_arcs(
         if i == m - 1:
             b += TWO_PI
         mid = 0.5 * (a + b)
-        if shifted.contains((r * math.cos(mid), r * math.sin(mid))):
+        x, y = r * math.cos(mid), r * math.sin(mid)
+        for x0, y0, dx, dy in sides:  # _inside, inlined on the beta profile's hot path
+            if dx * (y - y0) - dy * (x - x0) < -CONTAIN_TOL:
+                break
+        else:
             arcs.append((a, b))
     return tuple(arcs)
 

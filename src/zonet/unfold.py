@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .geom import ConvexQuad, Point2
+from .geom import NULL_EDGE_SQ, ConvexQuad, Point2
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
@@ -103,7 +103,7 @@ def _segment_distance(p: Point2, q: Point2) -> float:
     """Distance from the origin to segment pq."""
     dx, dy = q[0] - p[0], q[1] - p[1]
     dd = dx * dx + dy * dy
-    if dd < 1e-30:
+    if dd < NULL_EDGE_SQ:
         return math.hypot(*p)
     t = -(p[0] * dx + p[1] * dy) / dd
     t = min(1.0, max(0.0, t))

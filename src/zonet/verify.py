@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
+    NULL_EDGE_SQ,
     AngularIntervalSet,
     circle_quad_arcs,
     covering_arc_of_angles,
@@ -36,6 +37,14 @@ STRICT_MARGIN = 1e-12
 EVENT_EPS = 1e-9
 ANGLE_TOL = 1e-10
 SAMPLES_PER_INTERVAL = 9
+#: slack on each rhomb's [min, max] distance from o when choosing the rhombs
+#: a circle C(r) can meet
+RANGE_SLACK = 1e-12
+#: points this close to o are o itself: they give no event radius, no sample
+#: radius and no direction
+MIN_RADIUS = 1e-12
+#: event radii closer than this are one event computed two ways
+EVENT_MERGE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +60,13 @@ def zone_arcs(
 ) -> AngularIntervalSet:
     """Union of angular intervals of C(r) inside the selected rhombs."""
     ranges = zone.radius_ranges
-    idx = range(len(zone.corners)) if indices is None else indices
+    rhombs = zone.rhombs
+    idx = range(len(rhombs)) if indices is None else indices
     pieces = []
     for i in idx:
-        dmin, dmax = ranges[i]
-        if not (dmin - 1e-12 <= r <= dmax + 1e-12):
-            continue
-        pieces.extend(circle_quad_arcs((0.0, 0.0), r, zone.rhombs[i]))
+        lo, hi = ranges[i]
+        if lo - RANGE_SLACK <= r <= hi + RANGE_SLACK:
+            pieces.extend(circle_quad_arcs(r, rhombs[i]))
     return AngularIntervalSet.from_intervals(pieces)
 
 
@@ -76,13 +85,13 @@ def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> 
         quad = zone.corners[i]
         for p in quad:
             d = math.hypot(*p)
-            if d > 1e-12:
+            if d > MIN_RADIUS:
                 events.add(d)
         for p, q in _quad_edges(quad):
             # perpendicular foot strictly inside the segment: a grazing radius
             dx, dy = q[0] - p[0], q[1] - p[1]
             dd = dx * dx + dy * dy
-            if dd < 1e-30:
+            if dd < NULL_EDGE_SQ:
                 continue
             t = -(p[0] * dx + p[1] * dy) / dd
             if 1e-9 < t < 1.0 - 1e-9:
@@ -90,7 +99,7 @@ def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> 
     # merge float-noise duplicates (the same vertex radius computed two ways)
     out: list[float] = []
     for e in sorted(events):
-        if not out or e - out[-1] > 1e-12:
+        if not out or e - out[-1] > EVENT_MERGE:
             out.append(e)
     return out
 
@@ -107,7 +116,7 @@ def sample_radii(
     rs: set[float] = set()
     for e in events:
         for r in (e - EVENT_EPS, e, e + EVENT_EPS):
-            if r > 1e-12:
+            if r > MIN_RADIUS:
                 rs.add(r)
     # (0, first event) is a combinatorial interval of its own
     for a, b in zip([0.0, *events], events):
@@ -143,7 +152,7 @@ def rhomb_subtended_angles(zone: PlanarZone) -> list[float]:
     """
     out = []
     for quad in zone.corners:
-        angles = [math.atan2(p[1], p[0]) for p in quad if math.hypot(*p) > 1e-12]
+        angles = [math.atan2(p[1], p[0]) for p in quad if math.hypot(*p) > MIN_RADIUS]
         arc = covering_arc_of_angles(angles)
         assert arc is not None
         out.append(arc)
@@ -321,6 +330,20 @@ class CheckResult:
     margin: float
     detail: str = ""
 
+    @staticmethod
+    def of(rules: list[tuple[float, bool]], detail: str) -> "CheckResult":
+        """A check that passes when every rule does, with the smallest gap as margin.
+
+        Each rule is ``(gap, strict)``: the signed distance from a measurement
+        to its threshold, positive on the passing side; a strict rule needs
+        ``gap > 0``, the others ``gap >= 0``.  So a passing check has margin
+        >= 0 and a failing one margin <= 0.  A float difference ``t - x`` has
+        the sign of ``x < t`` exactly, so each rule decides as the plain
+        comparison would.
+        """
+        passed = all(g > 0.0 if strict else g >= 0.0 for g, strict in rules)
+        return CheckResult(passed, min(g for g, _ in rules), detail)
+
 
 @dataclass
 class VerificationReport:
@@ -368,25 +391,22 @@ def run_verification(
 
     profile = beta_profile(zone, samples_per_interval)
     worst = rep.max_beta = max(b for _, b in profile)
-    rep.checks["beta_le_alpha"] = CheckResult(
-        worst <= alpha + BETA_TOL, alpha + BETA_TOL - worst, f"max beta {worst:.12f}"
+    rep.checks["beta_le_alpha"] = CheckResult.of(
+        [(alpha + BETA_TOL - worst, False)], f"max beta {worst:.12f}"
     )
 
     betas = rhomb_subtended_angles(zone)
-    first_ok = abs(betas[0] - alpha) <= ANGLE_TOL
     rest_margin = min((alpha - b for b in betas[1:]), default=math.inf)
     if theta > 0.0:
         # strict for theta > 0; at theta = 0 every upper rhomb subtends
         # exactly alpha, so only the upper bound is meaningful there
-        rest_ok = rest_margin > STRICT_MARGIN
+        rest_gap = rest_margin - STRICT_MARGIN
         detail = "beta_1 = alpha; beta_i < alpha for i >= 2"
     else:
-        rest_ok = rest_margin > -ANGLE_TOL
+        rest_gap = rest_margin + ANGLE_TOL
         detail = "beta_1 = alpha; beta_i <= alpha for i >= 2"
-    rep.checks["subtended"] = CheckResult(
-        first_ok and rest_ok,
-        min(ANGLE_TOL - abs(betas[0] - alpha), rest_margin),
-        detail,
+    rep.checks["subtended"] = CheckResult.of(
+        [(ANGLE_TOL - abs(betas[0] - alpha), False), (rest_gap, True)], detail
     )
 
     upper, lower, flat = zone.half_split()
@@ -404,8 +424,8 @@ def run_verification(
             if r < r_only_upper - 2.0 * EVENT_EPS
         ]
         udev = max(abs(b - alpha) for b in ub)
-        rep.checks["upper_half"] = CheckResult(
-            udev < BETA_TOL, BETA_TOL - udev, "C(r) covers exactly alpha of the upper half"
+        rep.checks["upper_half"] = CheckResult.of(
+            [(BETA_TOL - udev, True)], "C(r) covers exactly alpha of the upper half"
         )
         # strictly inside the lower half: at the transition radius (through
         # the corners where the halves meet) the arc subtends exactly alpha/2
@@ -418,38 +438,36 @@ def run_verification(
             if r > r_transition + 2.0 * EVENT_EPS
         ]
         lmargin = min(alpha / 2.0 - b for b in lb)
-        rep.checks["lower_half"] = CheckResult(
-            lmargin > STRICT_MARGIN, lmargin, "lower-half arcs stay under alpha/2"
+        rep.checks["lower_half"] = CheckResult.of(
+            [(lmargin - STRICT_MARGIN, True)], "lower-half arcs stay under alpha/2"
         )
         rep.skipped["diagonals"] = "theta = 0: diagonal bisectors pass through o exactly"
     else:
         rep.skipped["upper_half"] = "theta > 0: specific to the degenerate case"
         rep.skipped["lower_half"] = "theta > 0: specific to the degenerate case"
-        offsets = diagonal_perpendicular_test(zone)
-        margin = min(-off for off in offsets)
-        rep.checks["diagonals"] = CheckResult(
-            all(off < 0.0 for off in offsets),
-            margin,
+        rep.checks["diagonals"] = CheckResult.of(
+            [(-off, True) for off in diagonal_perpendicular_test(zone)],
             "all diagonal perpendicular bisectors pass below o",
         )
 
     if flat is not None:
         fr = flat_rhomb_check(zone, profile)
-        angle_ok = abs(fr.corner_angle - 2.0 * theta) <= ANGLE_TOL
-        lift_ok = abs(fr.cross_diagonal - 2.0 * math.sin(theta)) <= ANGLE_TOL
+        rules = [
+            (ANGLE_TOL - abs(fr.corner_angle - 2.0 * theta), False),
+            (ANGLE_TOL - abs(fr.cross_diagonal - 2.0 * math.sin(theta)), False),
+        ]
         if theta > 0.0:
-            chord_ok = fr.max_chord < 2.0 - STRICT_MARGIN and fr.radial_lift > STRICT_MARGIN
-            margin = 2.0 - STRICT_MARGIN - fr.max_chord
+            rules += [
+                (2.0 - STRICT_MARGIN - fr.max_chord, True),
+                (fr.radial_lift - STRICT_MARGIN, True),
+            ]
         else:
-            chord_ok = (
-                abs(fr.chord_at_corner_radius - 2.0) <= BETA_TOL
-                and fr.max_chord <= 2.0 + BETA_TOL
-            )
-            margin = BETA_TOL - abs(fr.chord_at_corner_radius - 2.0)
-        rep.checks["flat_rhomb"] = CheckResult(
-            angle_ok and lift_ok and chord_ok,
-            margin,
-            f"corner {fr.corner_angle:.12f} = 2 theta; chords stay under 2",
+            rules += [
+                (BETA_TOL - abs(fr.chord_at_corner_radius - 2.0), False),
+                (2.0 + BETA_TOL - fr.max_chord, False),
+            ]
+        rep.checks["flat_rhomb"] = CheckResult.of(
+            rules, f"corner {fr.corner_angle:.12f} = 2 theta; chords stay under 2"
         )
     else:
         rep.skipped["flat_rhomb"] = "n odd: no central rhomb"
@@ -458,7 +476,7 @@ def run_verification(
         net = assemble_net(n, theta)
         hits = net_overlap_oracle(net)
         rep.overlap_pairs = len(hits)
-        rep.checks["net_overlap"] = CheckResult(
-            not hits, float(-len(hits)), f"{len(hits)} overlapping pairs"
+        rep.checks["net_overlap"] = CheckResult.of(
+            [(float(-len(hits)), False)], f"{len(hits)} overlapping pairs"
         )
     return rep

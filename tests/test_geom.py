@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonet import geom
@@ -85,12 +85,17 @@ class TestShortestCoveringArc:
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 
+def translated(q, center):
+    """``q`` moved by -center, so that circles about ``center`` sit about the origin."""
+    return ConvexQuad(tuple((x - center[0], y - center[1]) for x, y in q.vertices), q.degenerate)
+
+
 class TestCircleQuadArcs:
     def quad(self):
         return ConvexQuad.from_vertices(UNIT_SQUARE)
 
     def arcs(self, center, r):
-        return AngularIntervalSet.from_intervals(circle_quad_arcs(center, r, self.quad()))
+        return AngularIntervalSet.from_intervals(circle_quad_arcs(r, translated(self.quad(), center)))
 
     def test_circle_missing_quad(self):
         arcs = self.arcs((5.0, 5.0), 1.0)
@@ -123,6 +128,134 @@ class TestCircleQuadArcs:
                 inside += 1
         sampled = TWO_PI * inside / m
         assert arcs.measure == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
+
+
+def _reference_segment_circle_params(p, q, r):
+    """Parameters t in [0,1] where segment p+t(q-p) meets the circle |x|=r."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    a = dx * dx + dy * dy
+    if a < 1e-30:
+        return []
+    b = 2.0 * (p[0] * dx + p[1] * dy)
+    c = p[0] * p[0] + p[1] * p[1] - r * r
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    ts = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+    out = []
+    for t in ts:
+        if -1e-12 <= t <= 1.0 + 1e-12:
+            out.append(min(max(t, 0.0), 1.0))
+    return out
+
+
+def _reference_contains(vs, p, tol=1e-12):
+    for i in range(4):
+        a, b = vs[i], vs[(i + 1) % 4]
+        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if cross < -tol:
+            return False
+    return True
+
+
+def reference_circle_quad_arcs(center, r, q):
+    """The circle/quad kernel as it was before each quad cached its edge
+    table: it moves the quad by -center on every call and recomputes every
+    edge coefficient.  The cached kernel must return the same floats."""
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    if q.degenerate:
+        return ()
+    vs = [(x - center[0], y - center[1]) for x, y in q.vertices]
+
+    crossings = []
+    for i in range(4):
+        p0, p1 = vs[i], vs[(i + 1) % 4]
+        for t in _reference_segment_circle_params(p0, p1, r):
+            x = p0[0] + t * (p1[0] - p0[0])
+            y = p0[1] + t * (p1[1] - p0[1])
+            crossings.append(math.atan2(y, x) % TWO_PI)
+
+    crossings.sort()
+    dedup = []
+    for a in crossings:
+        if not dedup or a - dedup[-1] > geom.MERGE_EPS:
+            dedup.append(a)
+    if len(dedup) > 1 and dedup[0] + TWO_PI - dedup[-1] <= geom.MERGE_EPS:
+        dedup.pop()
+
+    if not dedup:
+        return ((0.0, TWO_PI),) if _reference_contains(vs, (r, 0.0)) else ()
+
+    arcs = []
+    m = len(dedup)
+    for i in range(m):
+        a = dedup[i]
+        b = dedup[(i + 1) % m]
+        if i == m - 1:
+            b += TWO_PI
+        mid = 0.5 * (a + b)
+        if _reference_contains(vs, (r * math.cos(mid), r * math.sin(mid))):
+            arcs.append((a, b))
+    return tuple(arcs)
+
+
+@st.composite
+def circles_and_quads(draw):
+    """A convex quad (four points in angular order on an ellipse), a circle
+    center, and a radius that is free, reaches a vertex exactly or within a
+    few 1e-13 (crossings just off a segment's end, near the ``t`` slack), or
+    is the distance to an edge's line (a tangent circle when the foot is on
+    the edge)."""
+    f = st.floats
+    angles = sorted(draw(st.lists(f(0.0, TWO_PI), min_size=4, max_size=4)))
+    gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + TWO_PI - angles[-1]]
+    assume(min(gaps) > 0.05)
+    ax, ay, tilt = draw(f(0.05, 3.0)), draw(f(0.05, 3.0)), draw(f(0.0, TWO_PI))
+    px, py = draw(f(-5.0, 5.0)), draw(f(-5.0, 5.0))
+    c, s = math.cos(tilt), math.sin(tilt)
+    vs = []
+    for t in angles:
+        x, y = ax * math.cos(t), ay * math.sin(t)
+        vs.append((px + c * x - s * y, py + s * x + c * y))
+    q = ConvexQuad.from_vertices(vs)
+    center = (draw(f(-6.0, 6.0)), draw(f(-6.0, 6.0)))
+    i = draw(st.integers(0, 3))
+    (x0, y0), (x1, y1) = (
+        (x - center[0], y - center[1]) for x, y in (q.vertices[i], q.vertices[(i + 1) % 4])
+    )
+    mode = draw(st.sampled_from(("free", "vertex", "near-vertex", "tangent")))
+    if mode == "vertex":
+        r = math.hypot(x0, y0)
+    elif mode == "near-vertex":
+        r = math.hypot(x0, y0) + draw(st.integers(-40, 40)) * 1e-13
+    elif mode == "tangent":
+        dx, dy = x1 - x0, y1 - y0
+        r = abs(x0 * dy - y0 * dx) / math.hypot(dx, dy)
+    else:
+        r = draw(f(1e-3, 10.0))
+    assume(r > 0.0)
+    return q, center, r
+
+
+class TestCachedKernelMatchesReference:
+    @given(circles_and_quads())
+    @settings(max_examples=400, deadline=None)
+    def test_arcs_are_bit_identical(self, case):
+        q, center, r = case
+        assert circle_quad_arcs(r, translated(q, center)) == reference_circle_quad_arcs(center, r, q)
+
+    def test_every_edge_of_a_point_quad_is_dropped(self):
+        point = ConvexQuad(((1.0, 1.0),) * 4)
+        crossing, sides = point.circle_table
+        assert crossing == () and len(sides) == 4
+        assert circle_quad_arcs(1.0, point) == reference_circle_quad_arcs((0.0, 0.0), 1.0, point)
+
+    def test_degenerate_quad_gives_no_arc(self):
+        flat = ConvexQuad.from_vertices(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0)))
+        assert flat.degenerate
+        assert circle_quad_arcs(1.0, flat) == ()
 
 
 class TestShrinkConvex:

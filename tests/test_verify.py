@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonet import verify
-from zonet.geom import polygons_interior_overlap
+from zonet.cli import DEFAULT_THETAS
+from zonet.geom import AngularIntervalSet, polygons_interior_overlap, shortest_covering_arc
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
@@ -64,6 +65,38 @@ class TestBetaOfR:
         assert rs[0] < events[0]  # the interval (0, first event) is sampled
         for a, b in zip(events, events[1:]):
             assert any(a < r < b for r in rs)
+
+
+def reference_profile(zone, indices=None):
+    """``beta_profile`` with the arcs of each radius collected as before the
+    per-quad edge tables: every rhomb is re-tested against its radius range
+    and clipped by the uncached reference kernel."""
+    from test_geom import reference_circle_quad_arcs
+
+    idx = range(len(zone.corners)) if indices is None else indices
+    out = []
+    for r in sample_radii(zone, indices=indices):
+        pieces = []
+        for i in idx:
+            dmin, dmax = zone.radius_ranges[i]
+            if dmin - 1e-12 <= r <= dmax + 1e-12:
+                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, zone.rhombs[i]))
+        b = shortest_covering_arc(AngularIntervalSet.from_intervals(pieces))
+        if b is not None:
+            out.append((r, b))
+    return out
+
+
+class TestProfileMatchesReference:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_profiles_are_bit_identical(self, n):
+        for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
+            zone = planar_zone(n, math.radians(theta_deg))
+            assert beta_profile(zone) == reference_profile(zone), theta_deg
+        zone = planar_zone(n, 0.0)
+        upper, lower, _ = zone.half_split()
+        for indices in (upper, lower):
+            assert beta_profile(zone, indices=indices) == reference_profile(zone, indices)
 
 
 class TestSubtendedAngles:
@@ -325,6 +358,40 @@ def _drop_far_edge(k, dy):
     return edit
 
 
+FAULTS = [
+    # R_3 turned about o by alpha/2: C(r)'s arc grows beyond alpha
+    ("beta_le_alpha", 9, 30.0, _turn_rhomb(2, 0.5)),
+    # R_1's corner on the left chain turned 1e-6 toward tr: beta_1 < alpha
+    ("subtended", 9, 30.0, _turn_corner(0, 3, 1e-6)),
+    # R_2 spun 0.02 rad: its diagonal's bisector passes above o
+    ("diagonals", 9, 30.0, _spin_rhomb(1, -0.02)),
+    # R_2's top-right corner pulled 1e-6 left: C(r) covers less than alpha
+    ("upper_half", 9, 0.0, _move_corner(1, 1, -1e-6, 0.0)),
+    # R_6 turned about o by 0.3 alpha: a lower-half arc exceeds alpha/2
+    ("lower_half", 9, 0.0, _turn_rhomb(5, 0.3)),
+    # the central rhomb's far edge dropped 1e-6: its corner is not 2 theta
+    ("flat_rhomb", 16, 20.0, _drop_far_edge(7, 1e-6)),
+]
+
+
+def _faulty_report(monkeypatch, n, theta_deg, edit):
+    theta = math.radians(theta_deg)
+    zone = planar_zone(n, theta)
+    corners = [list(quad) for quad in zone.corners]
+    edit(corners, zone.alpha)
+    bad = PlanarZone(n, theta, zone.alpha, tuple(tuple(q) for q in corners))
+    monkeypatch.setattr(verify, "planar_zone", lambda *_: bad)
+    return run_verification(n, theta)
+
+
+def _assert_margin_sign_follows_verdict(rep):
+    for name, c in rep.checks.items():
+        if c.passed:
+            assert c.margin >= 0.0, (name, c)
+        else:
+            assert c.margin <= 0.0, (name, c)
+
+
 class TestFaultInjection:
     """A geometric fault in the developed zone trips exactly the named check.
 
@@ -333,29 +400,51 @@ class TestFaultInjection:
     faults leave ``net_overlap`` clean.
     """
 
-    @pytest.mark.parametrize(
-        "check,n,theta_deg,edit",
-        [
-            # R_3 turned about o by alpha/2: C(r)'s arc grows beyond alpha
-            ("beta_le_alpha", 9, 30.0, _turn_rhomb(2, 0.5)),
-            # R_1's corner on the left chain turned 1e-6 toward tr: beta_1 < alpha
-            ("subtended", 9, 30.0, _turn_corner(0, 3, 1e-6)),
-            # R_2 spun 0.02 rad: its diagonal's bisector passes above o
-            ("diagonals", 9, 30.0, _spin_rhomb(1, -0.02)),
-            # R_2's top-right corner pulled 1e-6 left: C(r) covers less than alpha
-            ("upper_half", 9, 0.0, _move_corner(1, 1, -1e-6, 0.0)),
-            # R_6 turned about o by 0.3 alpha: a lower-half arc exceeds alpha/2
-            ("lower_half", 9, 0.0, _turn_rhomb(5, 0.3)),
-            # the central rhomb's far edge dropped 1e-6: its corner is not 2 theta
-            ("flat_rhomb", 16, 20.0, _drop_far_edge(7, 1e-6)),
-        ],
-    )
+    @pytest.mark.parametrize("check,n,theta_deg,edit", FAULTS)
     def test_fault_trips_only_its_check(self, monkeypatch, check, n, theta_deg, edit):
-        theta = math.radians(theta_deg)
-        zone = planar_zone(n, theta)
-        corners = [list(quad) for quad in zone.corners]
-        edit(corners, zone.alpha)
-        bad = PlanarZone(n, theta, zone.alpha, tuple(tuple(q) for q in corners))
-        monkeypatch.setattr(verify, "planar_zone", lambda *_: bad)
-        rep = run_verification(n, theta)
+        rep = _faulty_report(monkeypatch, n, theta_deg, edit)
         assert rep.failures() == [check]
+
+
+class TestMarginSign:
+    """A check's margin is the smallest signed distance of its rules to their
+    thresholds: never negative on a pass, never positive on a failure."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_true_zones(self, n):
+        for theta_deg in (0.0, 0.5, 20.0, 89.5):
+            _assert_margin_sign_follows_verdict(run_verification(n, math.radians(theta_deg)))
+
+    @pytest.mark.parametrize("check,n,theta_deg,edit", FAULTS)
+    def test_injected_faults(self, monkeypatch, check, n, theta_deg, edit):
+        _assert_margin_sign_follows_verdict(_faulty_report(monkeypatch, n, theta_deg, edit))
+
+    def test_strict_subtended_gap_below_strict_margin(self, monkeypatch):
+        """beta_2 short of alpha by less than STRICT_MARGIN fails the strict rule."""
+        real = verify.rhomb_subtended_angles
+
+        def betas(zone):
+            out = real(zone)
+            out[1] = zone.alpha - 0.5 * verify.STRICT_MARGIN
+            return out
+
+        monkeypatch.setattr(verify, "rhomb_subtended_angles", betas)
+        check = run_verification(9, math.radians(30.0), check_overlap=False).checks["subtended"]
+        assert not check.passed
+        assert -verify.STRICT_MARGIN < check.margin <= 0.0
+
+    def test_lower_half_gap_below_strict_margin(self, monkeypatch):
+        """Lower-half arcs short of alpha/2 by less than STRICT_MARGIN fail."""
+        real = verify.beta_profile
+        lower = planar_zone(9, 0.0).half_split()[1]
+
+        def profile(zone, samples=verify.SAMPLES_PER_INTERVAL, indices=None):
+            rb = real(zone, samples, indices)
+            if indices != lower:
+                return rb
+            return [(r, zone.alpha / 2.0 - 0.5 * verify.STRICT_MARGIN) for r, _ in rb]
+
+        monkeypatch.setattr(verify, "beta_profile", profile)
+        check = run_verification(9, 0.0, check_overlap=False).checks["lower_half"]
+        assert not check.passed
+        assert -verify.STRICT_MARGIN < check.margin <= 0.0
