@@ -19,6 +19,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 from . import crescent as crescent_mod
 from .unfold import assemble_net, planar_zone
@@ -109,21 +111,21 @@ def write_svg(net, stream, zone_index: int | None = None, scale: float = 100.0) 
     stream.write("</svg>\n")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream for an output path: stdout (left open) for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +135,12 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 def cmd_build(args) -> int:
     z = build(Params(args.n, parse_theta(args.theta)))
     if args.obj:
-        stream, close = _open_out(args.obj)
-        try:
+        with _output(args.obj) as stream:
             write_obj(z, stream)
-        finally:
-            if close:
-                stream.close()
     if args.json:
-        stream, close = _open_out(args.json)
-        try:
+        with _output(args.json) as stream:
             json.dump(mesh_as_dict(z), stream, indent=1)
             stream.write("\n")
-        finally:
-            if close:
-                stream.close()
     if not args.obj and not args.json:
         print(
             f"P({z.params.n}, {math.degrees(z.params.theta):g} deg): "
@@ -160,12 +154,8 @@ def cmd_net(args) -> int:
     if args.zone is not None and not 0 <= args.zone < args.n:
         raise ValueError(f"--zone must lie in [0, {args.n - 1}]")
     net = assemble_net(args.n, parse_theta(args.theta))
-    stream, close = _open_out(args.svg)
-    try:
+    with _output(args.svg) as stream:
         write_svg(net, stream, zone_index=args.zone)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -179,13 +169,9 @@ def cmd_verify(args) -> int:
     rep = run_verification(args.n, parse_theta(args.theta), args.samples)
     doc = {"schema": SCHEMA_VERSION, **rep.as_dict()}
     if args.json:
-        stream, close = _open_out(args.json)
-        try:
+        with _output(args.json) as stream:
             json.dump(doc, stream, indent=1)
             stream.write("\n")
-        finally:
-            if close:
-                stream.close()
     if rep.passed:
         print(f"verify n={args.n} theta={args.theta}: pass")
         return 0

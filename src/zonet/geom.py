@@ -5,9 +5,11 @@ units.  ``circle_quad_arcs`` returns the raw arcs of one circle about the origin
 inside one quad, so a caller that collects arcs over many quads merges them once,
 with ``AngularIntervalSet.from_intervals``.  Each quad caches its per-edge
 circle-crossing coefficients, so only the radius-dependent terms are computed
-per call.  The overlap predicate for convex polygons is a filtered float predicate
-with an exact rational fallback: each orientation is decided in floating point
-when its error bound allows and otherwise on the binary-float values embedded
+per call.  ``shrink_convex`` decides, once per quad, that its result is a
+strictly convex CCW quad; the overlap predicate for two such quads is then a
+bare separating-axis test.  Both use one filtered float orientation with an
+exact rational fallback: each orientation is decided in floating point when
+its error bound allows and otherwise on the binary-float values embedded
 losslessly as rationals, so "touching" versus "overlapping" is decided exactly
 with respect to the coordinates actually computed.
 """
@@ -32,6 +34,17 @@ NULL_EDGE_SQ = 1e-30
 CROSSING_T_SLACK = 1e-12
 #: a point this far outside an edge line still counts as inside a quad
 CONTAIN_TOL = 1e-12
+#: a corner turning right by less than this still counts as convex in
+#: ``ConvexQuad.is_convex``
+CONVEX_TOL = 1e-12
+#: ``shrink_convex`` gives None for an edge shorter than this, or for two
+#: adjacent edge lines whose unit normals have a cross product below
+#: ``SHRINK_MIN_DET`` (parallel lines have no intersection to shrink to)
+SHRINK_MIN_EDGE = 1e-15
+SHRINK_MIN_DET = 1e-15
+#: a shrunk vertex this far beyond a shifted edge line still lies on it; one
+#: farther out marks the point-reflected phantom of an over-shrunk quad
+PHANTOM_SLACK = 1e-12
 
 Point2 = tuple[float, float]
 
@@ -173,7 +186,7 @@ class ConvexQuad:
             raise ValueError("quad is not convex")
         return q
 
-    def is_convex(self, tol: float = 1e-12) -> bool:
+    def is_convex(self, tol: float = CONVEX_TOL) -> bool:
         vs = self.vertices
         for i in range(4):
             a, b, c = vs[i], vs[(i + 1) % 4], vs[(i + 2) % 4]
@@ -225,50 +238,55 @@ def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float
 
 
 def shrink_convex(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
-    """Offset every edge of a convex polygon inward by ``delta``.
+    """Offset every edge of a convex quad inward by ``delta``.
 
-    Returns the shrunk vertices (edge-line intersections) or None when the
-    polygon is too thin to survive the offset.  Used to ignore hairline
-    contacts: two convex regions overlap by more than a sliver of width
-    ~delta iff their shrunk versions still intersect.
+    Returns the shrunk vertices (edge-line intersections) in CCW order, or
+    None when the quad is too thin to survive the offset.  Used to ignore
+    hairline contacts: two convex regions overlap by more than a sliver of
+    width ~delta iff their shrunk versions still intersect.
+
+    Every result turns strictly left at each of its four corners, decided by
+    the exact ``_orient``, so it is a simple, strictly convex, CCW quad:
+    ``polygons_interior_overlap`` relies on that.  Raises ValueError unless
+    ``vs`` has four vertices (a pentagram also turns left at every corner).
     """
+    if len(vs) != 4:
+        raise ValueError("shrink_convex takes quads only")
     pts = list(vs)
     area2 = _signed_area2(pts)
     if abs(area2) <= ConvexQuad.DEGENERATE_AREA:
         return None
     if area2 < 0.0:
         pts = list(reversed(pts))
-    n = len(pts)
     lines = []  # (nx, ny, c) with nx*x + ny*y = c on the shifted edge line
-    for i in range(n):
-        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
+    for i in range(4):
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % 4]
         ex, ey = x1 - x0, y1 - y0
         length = math.hypot(ex, ey)
-        if length < 1e-15:
+        if length < SHRINK_MIN_EDGE:
             return None
         nx, ny = ey / length, -ex / length  # outward normal for CCW order
         lines.append((nx, ny, nx * x0 + ny * y0 - delta))
     out: list[Point2] = []
-    for i in range(n):
+    for i in range(4):
         a = lines[i - 1]
         b = lines[i]
         det = a[0] * b[1] - a[1] * b[0]
-        if abs(det) < 1e-15:
+        if abs(det) < SHRINK_MIN_DET:
             return None
         x = (a[2] * b[1] - b[2] * a[1]) / det
         y = (a[0] * b[2] - b[0] * a[2]) / det
         out.append((x, y))
     if _signed_area2(out) <= ConvexQuad.DEGENERATE_AREA:
         return None
-    for i in range(n):
-        p, q, r = out[i], out[(i + 1) % n], out[(i + 2) % n]
-        if (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0]) <= 0.0:
+    for i in range(4):
+        if _orient(out[i - 2], out[i - 1], out[i]) <= 0:
             return None
     # over-shrinking past the inradius produces a point-reflected phantom that
     # is still convex and CCW; it is exposed by violating the shifted planes
     for x, y in out:
         for nx, ny, c in lines:
-            if nx * x + ny * y > c + 1e-12:
+            if nx * x + ny * y > c + PHANTOM_SLACK:
                 return None
     return out
 
@@ -343,7 +361,7 @@ def circle_quad_arcs(r: float, q: ConvexQuad) -> tuple[tuple[float, float], ...]
 
 
 # ---------------------------------------------------------------------------
-# exact interior-overlap predicate for convex polygons (filtered float
+# exact interior-overlap predicate for shrunk quads (filtered float
 # orientation with an exact rational fallback)
 
 _EPS = 2.0**-53
@@ -384,68 +402,21 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
     return _orient_exact(a, b, c)
 
 
-def _direction(p: Point2, q: Point2) -> tuple[int, int]:
-    """Exact signs of the x and y extent of the edge p -> q."""
-    return (q[0] > p[0]) - (q[0] < p[0]), (q[1] > p[1]) - (q[1] < p[1])
-
-
-def _convex_winding(poly: Sequence[Point2]) -> int:
-    """Exact winding sign of a convex polygon: +1 CCW, -1 CW, 0 for zero area.
-
-    Raises ValueError unless the polygon is convex: no repeated consecutive
-    vertex, every consecutive triple turns the same way or runs straight on,
-    and the edges turn through one full circle, not more (a pentagram turns
-    the same way at every vertex but twice around).
-    """
-    n = len(poly)
-    if n < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    winding, spike = 0, False
-    for i in range(n):
-        a, b, c = poly[i - 2], poly[i - 1], poly[i]
-        if b[0] == c[0] and b[1] == c[1]:
-            raise ValueError("polygon repeats a consecutive vertex")
-        turn = _orient(a, b, c)
-        if turn == 0:
-            spike |= _direction(a, b) != _direction(b, c)  # collinear edges pointing apart
-        elif winding == 0:
-            winding = turn
-        elif turn != winding:
-            raise ValueError("polygon is not convex")
-    if winding == 0:
-        return 0  # every consecutive triple collinear: all vertices on one line
-    if spike:
-        raise ValueError("polygon is not convex")
-    # each turn is less than pi, so up to 4 vertices cannot turn twice around;
-    # beyond that, one full turn is the x extent changing sign exactly twice
-    if n > 4:
-        xs = [dx for dx, _ in (_direction(poly[i - 1], poly[i]) for i in range(n)) if dx]
-        if sum(xs[i] != xs[i - 1] for i in range(len(xs))) != 2:
-            raise ValueError("polygon is not convex")
-    return winding
-
-
 def polygons_interior_overlap(a: Sequence[Point2], b: Sequence[Point2]) -> bool:
-    """True iff the open interiors of two convex polygons intersect.
+    """True iff the open interiors of two ``shrink_convex`` results intersect.
 
-    Boundary-only contact (shared edges, shared vertices) returns False, and
-    so does a polygon of zero area; a non-convex input raises ValueError.
-    Every orientation is exact for the float inputs (a filtered float
-    evaluation with a rational fallback), so sliver overlaps thinner than
-    any vertex spacing are caught and touching is never mistaken for
-    overlap.  The test is by separating axes: convex interiors are disjoint
-    iff some edge line of one polygon has the two polygons on opposite
-    closed sides.
+    Both inputs must be strictly convex CCW quads, as ``shrink_convex``
+    returns them.  Boundary-only contact (shared edges, shared vertices)
+    returns False.  Every orientation is exact for the float inputs (a
+    filtered float evaluation with a rational fallback), so sliver overlaps
+    thinner than any vertex spacing are caught and touching is never
+    mistaken for overlap.  The test is by separating axes: convex interiors
+    are disjoint iff some edge line of one quad has the other quad on its
+    closed right side.
     """
-    wa = _convex_winding(a)
-    wb = _convex_winding(b)
-    if wa == 0 or wb == 0:
-        return False
-    for poly, winding, other in ((a, wa, b), (b, wb, a)):
-        n = len(poly)
-        for i in range(n):
-            e1, e2 = poly[i], poly[(i + 1) % n]
-            # the interior of `poly` is strictly on side `winding` of (e1, e2)
-            if all(_orient(e1, e2, p) * winding <= 0 for p in other):
+    for poly, other in ((a, b), (b, a)):
+        for i in range(4):
+            e1, e2 = poly[i], poly[(i + 1) % 4]
+            if all(_orient(e1, e2, p) <= 0 for p in other):
                 return False
     return True

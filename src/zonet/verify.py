@@ -45,6 +45,18 @@ RANGE_SLACK = 1e-12
 MIN_RADIUS = 1e-12
 #: event radii closer than this are one event computed two ways
 EVENT_MERGE = 1e-12
+#: an edge's perpendicular foot from o gives a grazing event radius only when
+#: its segment parameter lies this far inside (0, 1); nearer an end, the
+#: vertex radius is the event
+FOOT_T_MARGIN = 1e-9
+#: a candidate diagonal whose |dy| is below this is horizontal, and its
+#: bisector, the vertical line x = mx, passes through o when |mx| is below
+#: ``ON_AXIS_X``
+HORIZONTAL_DY = 1e-12
+ON_AXIS_X = 1e-9
+#: the chord at the central rhomb's corner radius is measured this far inside
+#: that radius (and at least this far from o)
+CORNER_RADIUS_OFFSET = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +106,7 @@ def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> 
             if dd < NULL_EDGE_SQ:
                 continue
             t = -(p[0] * dx + p[1] * dy) / dd
-            if 1e-9 < t < 1.0 - 1e-9:
+            if FOOT_T_MARGIN < t < 1.0 - FOOT_T_MARGIN:
                 events.add(math.hypot(p[0] + t * dx, p[1] + t * dy))
     # merge float-noise duplicates (the same vertex radius computed two ways)
     out: list[float] = []
@@ -187,10 +199,10 @@ def diagonal_perpendicular_test(zone: PlanarZone) -> list[float]:
         p, q = candidate_diagonal(quad)
         mx, my = (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0
         dx, dy = q[0] - p[0], q[1] - p[1]
-        if abs(dy) < 1e-12:
+        if abs(dy) < HORIZONTAL_DY:
             # horizontal diagonal: the bisector is the vertical line x = mx,
             # which passes through o exactly when mx = 0
-            offsets.append(0.0 if abs(mx) < 1e-9 else math.copysign(math.inf, -1.0))
+            offsets.append(0.0 if abs(mx) < ON_AXIS_X else math.copysign(math.inf, -1.0))
             continue
         offsets.append(my + (mx / dy) * dx)
     return offsets
@@ -249,7 +261,7 @@ def flat_rhomb_check(
         ),
         default=0.0,
     )
-    r_corner = max(ra - 1e-10, 1e-10)
+    r_corner = max(ra - CORNER_RADIUS_OFFSET, CORNER_RADIUS_OFFSET)
     b = beta_of_r(zone, r_corner)
     chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(min(b, math.pi) / 2.0)
     return FlatRhombReport(corner, axis_d, cross_d, rb - ra, worst, chord_corner)
@@ -275,14 +287,16 @@ def net_overlap_oracle(
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All pairs of rhombs from different zones whose interiors overlap.
 
-    Every rhomb is first shrunk inward by ``slack`` and the shrunk pairs are
-    tested with the exact separating-axis predicate (a filtered float
-    predicate with an exact rational fallback).  The shrink absorbs
-    the ~1e-16 placement noise of the floating-point net: zones that touch
-    along exactly-shared boundaries in the ideal net (the pole-edge fan; the
-    theta = 0 chain abutments) would otherwise produce hairline "overlaps"
-    whose presence depends on rounding direction.  Real overlaps are many
-    orders of magnitude wider than the slack and are always reported.
+    Every rhomb is first shrunk inward by ``slack``; ``shrink_convex``
+    decides exactly, once per rhomb, that the result is a strictly convex CCW
+    quad (or drops it), so each candidate pair is tested with a bare exact
+    separating-axis predicate (a filtered float predicate with an exact
+    rational fallback).  The shrink absorbs the ~1e-16 placement noise of
+    the floating-point net: zones that touch along exactly-shared boundaries
+    in the ideal net (the pole-edge fan; the theta = 0 chain abutments)
+    would otherwise produce hairline "overlaps" whose presence depends on
+    rounding direction.  Real overlaps are many orders of magnitude wider
+    than the slack and are always reported.
 
     A fast bounding-box pass discards the overwhelming majority of pairs;
     overlap of the shrunk interiors forces their open bounding boxes to

@@ -274,3 +274,23 @@ class TestSubtendedCommand:
         run(["subtended", "-n", "24", "--theta", "40", "--csv", str(out)])
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert float(rows[0]["beta_deg"]) == pytest.approx(11.48, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["build", "-n", "4", "--theta", "30", "--obj"],
+        ["build", "-n", "4", "--theta", "30", "--json"],
+        ["net", "-n", "4", "--theta", "30", "--svg"],
+        ["verify", "-n", "4", "--theta", "30", "--json"],
+        ["sweep", "--n-min", "3", "--n-max", "3", "--thetas", "20", "--csv"],
+        ["crescent", "--steps", "2", "--csv"],
+        ["subtended", "-n", "4", "--theta", "30", "--csv"],
+    ),
+    ids=["build-obj", "build-json", "net", "verify", "sweep", "crescent", "subtended"],
+)
+def test_output_in_missing_directory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert run([*argv, str(out)]) == 2
+    assert "zonet: error:" in capsys.readouterr().err
+    assert not out.parent.exists()

@@ -1,5 +1,6 @@
 """The beta(r) machinery, per-rhomb angles, diagonal test, and overlap oracle."""
 
+import dataclasses
 import math
 
 import pytest
@@ -404,6 +405,42 @@ class TestFaultInjection:
     def test_fault_trips_only_its_check(self, monkeypatch, check, n, theta_deg, edit):
         rep = _faulty_report(monkeypatch, n, theta_deg, edit)
         assert rep.failures() == [check]
+
+
+_T, _S, _B = verify.ANGLE_TOL, verify.STRICT_MARGIN, verify.BETA_TOL
+
+# (theta_deg, measurement, value past its rule, the rule's gap at that value)
+FLAT_RHOMB_RULES = [
+    (20.0, "corner_angle", lambda t: 2 * t + 2 * _T, lambda v, t: _T - abs(v - 2 * t)),
+    (20.0, "cross_diagonal", lambda t: 2 * math.sin(t) + 2 * _T,
+     lambda v, t: _T - abs(v - 2 * math.sin(t))),
+    (20.0, "max_chord", lambda t: 2.0, lambda v, t: 2.0 - _S - v),
+    (20.0, "radial_lift", lambda t: 0.0, lambda v, t: v - _S),
+    (0.0, "corner_angle", lambda t: 2 * t + 2 * _T, lambda v, t: _T - abs(v - 2 * t)),
+    (0.0, "cross_diagonal", lambda t: 2 * math.sin(t) + 2 * _T,
+     lambda v, t: _T - abs(v - 2 * math.sin(t))),
+    (0.0, "chord_at_corner_radius", lambda t: 2.0 - 2 * _B, lambda v, t: _B - abs(v - 2.0)),
+    (0.0, "max_chord", lambda t: 2.0 + 2 * _B, lambda v, t: 2.0 + _B - v),
+]
+
+
+@pytest.mark.parametrize(
+    "theta_deg,name,value,gap",
+    FLAT_RHOMB_RULES,
+    ids=[f"{t:g}-{name}" for t, name, _, _ in FLAT_RHOMB_RULES],
+)
+def test_each_flat_rhomb_rule_trips(monkeypatch, theta_deg, name, value, gap):
+    """One measurement of the true central rhomb pushed past its rule fails
+    flat_rhomb alone, with that rule's gap as the margin."""
+    theta = math.radians(theta_deg)
+    v = value(theta)
+    real = verify.flat_rhomb_check
+    monkeypatch.setattr(
+        verify, "flat_rhomb_check", lambda *a: dataclasses.replace(real(*a), **{name: v})
+    )
+    rep = run_verification(16, theta, check_overlap=False)
+    assert rep.failures() == ["flat_rhomb"]
+    assert rep.checks["flat_rhomb"].margin == gap(v, theta) <= 0.0
 
 
 class TestMarginSign:
