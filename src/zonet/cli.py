@@ -25,7 +25,7 @@ from typing import Iterator, TextIO
 from . import crescent as crescent_mod
 from .unfold import assemble_net, planar_zone
 from .verify import net_overlap_oracle  # noqa: F401  perfbench's tracer patches this name
-from .verify import rhomb_subtended_angles, run_verification, SAMPLES_PER_INTERVAL
+from .verify import rhomb_subtended_angles, run_verification
 from .zonohedron import Params, build
 
 SCHEMA_VERSION = 1
@@ -159,14 +159,8 @@ def cmd_net(args) -> int:
     return 0
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError("--samples must be at least 1")
-
-
 def cmd_verify(args) -> int:
-    _check_samples(args.samples)
-    rep = run_verification(args.n, parse_theta(args.theta), args.samples)
+    rep = run_verification(args.n, parse_theta(args.theta))
     doc = {"schema": SCHEMA_VERSION, **rep.as_dict()}
     if args.json:
         with _output(args.json) as stream:
@@ -179,9 +173,9 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _sweep_cell(cell: tuple[int, str, int]) -> list:
-    n, theta_text, samples = cell
-    rep = run_verification(n, parse_theta(theta_text), samples)
+def _sweep_cell(cell: tuple[int, str]) -> list:
+    n, theta_text = cell
+    rep = run_verification(n, parse_theta(theta_text))
     return [
         n,
         theta_text,
@@ -196,10 +190,9 @@ def _sweep_cell(cell: tuple[int, str, int]) -> list:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    _check_samples(args.samples)
     thetas = [t.strip() for t in args.thetas.split(",") if t.strip()]
     cells = [
-        (n, t, args.samples)
+        (n, t)
         for n in range(args.n_min, args.n_max + 1)
         for t in sorted(thetas, key=parse_theta)
     ]
@@ -275,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite for one (n, theta)")
     _add_params(p)
     p.add_argument("--json", help="write the JSON report to this path")
-    p.add_argument("--samples", type=int, default=SAMPLES_PER_INTERVAL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole parameter grid")
@@ -283,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=32)
     p.add_argument("--thetas", default=DEFAULT_THETAS, help="comma-separated theta values")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--samples", type=int, default=SAMPLES_PER_INTERVAL)
     p.add_argument("--csv", help="output path ('-' = stdout)")
     p.set_defaults(func=cmd_sweep)
 

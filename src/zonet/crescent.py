@@ -160,11 +160,14 @@ def crescent_beta_geometric(n: float, r: float | None = None, dps: int = 40) -> 
         return float(min(span, 2 * mp.pi - span))
 
 
+WINDOW_MARGIN = 1e-6  # share of the radius window that constancy_deviation skips at each end
+
+
 def constancy_deviation(n: float, radii: int = 50, dps: int = 40) -> float:
     """Max spread of the geometric beta over radii spanning the window."""
     geo = crescent_geometry(n)
     lo, hi = geo.radius_window()
-    margin = 1e-6 * (hi - lo)
+    margin = WINDOW_MARGIN * (hi - lo)
     values = [
         crescent_beta_geometric(n, lo + margin + (hi - lo - 2 * margin) * i / (radii - 1), dps)
         for i in range(radii)

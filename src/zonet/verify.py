@@ -7,11 +7,11 @@ about o, so the net is overlap-free when beta(r) <= alpha for every radius.
 
 Everything here is numeric but event-driven: the combinatorics of C(r) within
 the zone only change at radii where the circle passes through a vertex or
-grazes an edge, so sampling each interval between such events (plus points
-hugging the events themselves) exercises every case.  The one fully exact
-check is `net_overlap_oracle`, which tests rhomb pairs of the assembled net
-with a filtered float predicate with an exact rational fallback and is
-independent of the beta machinery.
+grazes an edge.  beta is evaluated at every such event radius and at both of
+its one-sided neighbours; beta is monotone between events, so those samples
+reach its supremum.  The one fully exact check is `net_overlap_oracle`, which
+tests rhomb pairs of the assembled net with a filtered float predicate with an
+exact rational fallback and is independent of the beta machinery.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ BETA_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 EVENT_EPS = 1e-9
 ANGLE_TOL = 1e-10
-SAMPLES_PER_INTERVAL = 9
 #: slack on each rhomb's [min, max] distance from o when choosing the rhombs
 #: a circle C(r) can meet
 RANGE_SLACK = 1e-12
@@ -116,35 +115,31 @@ def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> 
     return out
 
 
-def sample_radii(
-    zone: PlanarZone,
-    samples_per_interval: int = SAMPLES_PER_INTERVAL,
-    indices: tuple[int, ...] | None = None,
-) -> list[float]:
-    """Event radii hugged by +-EVENT_EPS plus evenly spread interior samples."""
-    events = critical_radii(zone, indices)
-    if not events:
-        return []
+def sample_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> list[float]:
+    """Every event radius e with its neighbours e - EVENT_EPS and e + EVENT_EPS.
+
+    Between consecutive events C(r) crosses the same edges, and while beta < pi
+    the covering arc ends on the same two of them.  An end on an edge line at
+    distance d from o sits at phi0 +- acos(d/r), so beta' = +-f(d_a) -+ f(d_b)
+    with f(d) = d / (r * sqrt(r*r - d*d)) increasing in d: beta is monotone or
+    constant between events, and its supremum is a one-sided limit at an event,
+    which e -+ EVENT_EPS approaches while events lie more than EVENT_EPS apart.
+    Below the first event C(r) meets only R_1, cornered at o: beta = alpha.
+    """
     rs: set[float] = set()
-    for e in events:
+    for e in critical_radii(zone, indices):
         for r in (e - EVENT_EPS, e, e + EVENT_EPS):
             if r > MIN_RADIUS:
                 rs.add(r)
-    # (0, first event) is a combinatorial interval of its own
-    for a, b in zip([0.0, *events], events):
-        for j in range(1, samples_per_interval + 1):
-            rs.add(a + (b - a) * j / (samples_per_interval + 1))
     return sorted(rs)
 
 
 def beta_profile(
-    zone: PlanarZone,
-    samples_per_interval: int = SAMPLES_PER_INTERVAL,
-    indices: tuple[int, ...] | None = None,
+    zone: PlanarZone, indices: tuple[int, ...] | None = None
 ) -> list[tuple[float, float]]:
-    """(r, beta(r)) over the event-based radius sample, skipping misses."""
+    """(r, beta(r)) over the event radii and their neighbours, skipping misses."""
     out = []
-    for r in sample_radii(zone, samples_per_interval, indices):
+    for r in sample_radii(zone, indices):
         b = beta_of_r(zone, r, indices)
         if b is not None:
             out.append((r, b))
@@ -392,18 +387,13 @@ class VerificationReport:
         }
 
 
-def run_verification(
-    n: int,
-    theta: float,
-    samples_per_interval: int = SAMPLES_PER_INTERVAL,
-    check_overlap: bool = True,
-) -> VerificationReport:
+def run_verification(n: int, theta: float, check_overlap: bool = True) -> VerificationReport:
     """Run every applicable check for P(n, theta); deterministic."""
     zone = planar_zone(n, theta)
     alpha = zone.alpha
     rep = VerificationReport(n, theta, alpha)
 
-    profile = beta_profile(zone, samples_per_interval)
+    profile = beta_profile(zone)
     worst = rep.max_beta = max(b for _, b in profile)
     rep.checks["beta_le_alpha"] = CheckResult.of(
         [(alpha + BETA_TOL - worst, False)], f"max beta {worst:.12f}"
@@ -432,23 +422,20 @@ def run_verification(
         r_only_upper = min(
             ranges[i][0] for i in (*lower, *(() if flat is None else (flat,)))
         )
-        ub = [
-            b
-            for r, b in beta_profile(zone, samples_per_interval, upper)
-            if r < r_only_upper - 2.0 * EVENT_EPS
-        ]
-        udev = max(abs(b - alpha) for b in ub)
+        udev = max(abs(b - alpha) for r, b in beta_profile(zone, upper) if r < r_only_upper)
         rep.checks["upper_half"] = CheckResult.of(
             [(BETA_TOL - udev, True)], "C(r) covers exactly alpha of the upper half"
         )
         # strictly inside the lower half: at the transition radius (through
-        # the corners where the halves meet) the arc subtends exactly alpha/2
+        # the corners where the halves meet) the arc subtends exactly alpha/2;
+        # beta is monotone up to the next event, so that event's lower
+        # neighbour bounds the interval just above the transition
         r_transition = max(
             math.hypot(*p) for i in (*upper, *(() if flat is None else (flat,))) for p in zone.corners[i]
         )
         lb = [
             b
-            for r, b in beta_profile(zone, samples_per_interval, lower)
+            for r, b in beta_profile(zone, lower)
             if r > r_transition + 2.0 * EVENT_EPS
         ]
         lmargin = min(alpha / 2.0 - b for b in lb)

@@ -15,11 +15,11 @@ each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
 planar_faces (every face closes as a parallelogram), closed_mesh (every edge
 lies on exactly two faces), central_symmetry (the vertex set is symmetric
 about the midpoint of the poles) and convex (no vertex lies outside the plane
-of any face).  Both functions are array programs over all vertices and faces
-at once, with no hull or nearest-neighbour search: symmetry pairs each run
-with its complementary run by index arithmetic, and the convexity check tests
-every face plane against every vertex in fixed-size blocks of planes, so its
-memory stays at HULL_BLOCK rows of vertices whatever n is.
+of any face, within the larger HULL_TOL).  Both functions are array programs
+over all vertices and faces at once, with no hull or nearest-neighbour search:
+symmetry pairs each run with its complementary run by index arithmetic, and
+the convexity check tests every face plane against every vertex in fixed-size
+blocks of planes, so its memory stays at HULL_BLOCK rows whatever n is.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 VALIDATION_TOL = 1e-10
+HULL_TOL = 1e-9  # ``convex`` allows a vertex this far outside a face plane
 
 
 class ConstructionError(ValueError):
@@ -235,7 +236,7 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     rep.margins["max_face_plane_violation"] = viol
     # with closed_mesh, no vertex outside any face plane puts every face on
     # the hull's boundary, so the surface is that boundary
-    rep.checks["convex"] = viol <= max(tol, 1e-9)
+    rep.checks["convex"] = viol <= max(tol, HULL_TOL)
 
     return rep
 

@@ -58,7 +58,7 @@ def test_02_full_grid_beta_bound_and_overlap_oracle():
     worst_margin = math.inf
     for n in range(3, 33):
         for t in thetas:
-            row = _sweep_cell((n, t, 9))
+            row = _sweep_cell((n, t))
             worst_margin = min(worst_margin, float(row[4]))
             if row[-1] != "pass":
                 failures.append((n, t, row))

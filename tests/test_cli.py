@@ -145,17 +145,6 @@ class TestVerify:
         assert run(["verify", "-n", "8", "--theta", "0.5rad"]) == 1
         assert "FAIL ['subtended']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        (
-            ["verify", "-n", "8", "--theta", "20"],
-            ["sweep", "--n-min", "3", "--n-max", "3", "--thetas", "20"],
-        ),
-    )
-    def test_samples_below_one_exits_2(self, capsys, argv):
-        assert run([*argv, "--samples", "0"]) == 2
-        assert "zonet: error: --samples" in capsys.readouterr().err
-
     def test_margins_reported_per_check(self, tmp_path):
         out = tmp_path / "v.json"
         run(["verify", "-n", "8", "--theta", "50", "--json", str(out)])
@@ -213,24 +202,25 @@ class TestSweep:
         monkeypatch.setattr(
             verify, "diagonal_perpendicular_test", lambda zone: [*real(zone)[:-1], 1e-3]
         )
-        assert cli._sweep_cell((16, "20", 9))[-1] == "fail"
+        assert cli._sweep_cell((16, "20"))[-1] == "fail"
         grid = ["--n-min", "16", "--n-max", "16", "--thetas", "20", "--jobs", "1"]
         assert run(["sweep", *grid, "--csv", str(tmp_path / "s.csv")]) == 1
 
     def test_rows_are_the_verify_verdict(self):
         for n in range(3, 9):
             for t in ("0", "0.5", "20", "89.5"):
-                row = cli._sweep_cell((n, t, 9))
+                row = cli._sweep_cell((n, t))
                 rep = run_verification(n, parse_theta(t))
                 assert row[-1] == ("pass" if rep.passed else "fail"), (n, t)
                 assert row[5] == rep.overlap_pairs, (n, t)
+                assert row[3] == "%.9f" % math.degrees(rep.max_beta), (n, t)
 
     def test_samples_reach_max_beta(self, tmp_path):
         out = tmp_path / "s.csv"
-        grid = ["--n-min", "8", "--n-max", "8", "--thetas", "20", "--samples", "3"]
+        grid = ["--n-min", "8", "--n-max", "8", "--thetas", "20"]
         assert run(["sweep", *grid, "--csv", str(out)]) == 0
         row = next(csv.DictReader(out.read_text().splitlines()))
-        rep = run_verification(8, math.radians(20), 3)
+        rep = run_verification(8, math.radians(20))
         assert row["max_beta_deg"] == "%.9f" % math.degrees(rep.max_beta)
 
 

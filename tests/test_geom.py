@@ -111,6 +111,24 @@ class TestCircleQuadArcs:
         arcs = self.arcs((0.0, 0.0), 0.5)
         assert arcs.measure == pytest.approx(math.pi / 2.0, abs=1e-12)
 
+    def test_hairline_gap_past_the_far_edge_is_kept(self):
+        """C(r) bulges 1e-10 past the edge y = 1 near (0, 1): the midpoint of
+        that gap is outside by 2e-10 in the edge's cross product, beyond
+        CONTAIN_TOL, so the two arcs stay apart."""
+        quad = ConvexQuad.from_vertices(((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)))
+        r = 1.0 + 1e-10
+        arcs = sorted(circle_quad_arcs(r, quad))
+        assert len(arcs) == 2
+        # the crossings sit at pi/2 -+ asin(sqrt(r*r - 1) / r), about 1.4e-5
+        gap = arcs[1][0] - arcs[0][1]
+        assert gap == pytest.approx(2.0 * math.sqrt(r * r - 1.0) / r, rel=1e-4)
+        assert 0.5 * (arcs[0][1] + arcs[1][0]) == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+    def test_circle_just_past_the_farthest_vertex_misses(self):
+        vs = ((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0))
+        far = max(math.hypot(*v) for v in vs)
+        assert circle_quad_arcs(far + 1e-10, ConvexQuad.from_vertices(vs)) == ()
+
     @given(
         st.floats(-1.5, 2.5),
         st.floats(-1.5, 2.5),
