@@ -20,6 +20,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import cache
 from typing import Iterator, TextIO
 
 from . import crescent as crescent_mod
@@ -99,13 +100,14 @@ def write_svg(net, stream, zone_index: int | None = None, scale: float = 100.0) 
     for zi, zone in enumerate(net.zones):
         if zone_index is not None and zi != zone_index:
             continue
-        color = _zone_color(zi, net.n)
-        for quad in zone.corners:
-            points = " ".join("%.6f,%.6f" % pt(p) for p in quad)
-            stream.write(
-                f'<polygon points="{points}" fill="{color}" '
-                f'stroke="black" stroke-width="0.5"/>\n'
-            )
+        # one %-template per zone: the colour's own '%' signs are escaped
+        color = _zone_color(zi, net.n).replace("%", "%%")
+        polygon = (
+            '<polygon points="%.6f,%.6f %.6f,%.6f %.6f,%.6f %.6f,%.6f" '
+            f'fill="{color}" stroke="black" stroke-width="0.5"/>\n'
+        )
+        coords = [c for quad in zone.corners for p in quad for c in pt(p)]
+        stream.write(polygon * len(zone.corners) % tuple(coords))
     ox, oy = pt((0.0, 0.0))
     stream.write(f'<circle cx="{ox:.6f}" cy="{oy:.6f}" r="3" fill="black"/>\n')
     stream.write("</svg>\n")
@@ -196,6 +198,8 @@ def cmd_sweep(args) -> int:
         for n in range(args.n_min, args.n_max + 1)
         for t in sorted(thetas, key=parse_theta)
     ]
+    if not cells:
+        raise ValueError("the sweep grid has no cells: check --n-min, --n-max and --thetas")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=4))
@@ -209,6 +213,8 @@ def cmd_sweep(args) -> int:
 def cmd_crescent(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
+    if not (3 <= args.n_min < math.inf and 3 <= args.n_max < math.inf):
+        raise ValueError("--n-min and --n-max must be finite and at least 3")
     ns: list[float] = []
     step = (args.n_max / args.n_min) ** (1.0 / (args.steps - 1))
     for i in range(args.steps):
@@ -246,7 +252,9 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every `main`."""
     ap = argparse.ArgumentParser(
         prog="zonet",
         description="Polar zonohedra, zone unfoldings, and non-overlap verification",
@@ -257,18 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--obj", help="write Wavefront OBJ to this path ('-' = stdout)")
     p.add_argument("--json", help="write JSON mesh to this path")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("net", help="render the unfolded net as SVG")
     _add_params(p)
     p.add_argument("--svg", required=True, help="output path ('-' = stdout)")
     p.add_argument("--zone", type=int, default=None, help="render only this zone")
-    p.set_defaults(func=cmd_net)
 
     p = sub.add_parser("verify", help="run the verification suite for one (n, theta)")
     _add_params(p)
     p.add_argument("--json", help="write the JSON report to this path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole parameter grid")
     p.add_argument("--n-min", type=int, default=3)
@@ -276,28 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thetas", default=DEFAULT_THETAS, help="comma-separated theta values")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", help="output path ('-' = stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("crescent", help="beta/alpha ratio table over continuous n")
     p.add_argument("--n-min", type=float, default=3.0)
     p.add_argument("--n-max", type=float, default=1e4)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--csv", help="output path ('-' = stdout)")
-    p.set_defaults(func=cmd_crescent)
 
     p = sub.add_parser("subtended", help="per-rhomb subtended angles from o")
     _add_params(p)
     p.add_argument("--csv", help="output path ('-' = stdout)")
-    p.set_defaults(func=cmd_subtended)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a patched cmd_* takes effect after the first call
+        return globals()["cmd_" + args.command](args)
     except (ValueError, OSError) as exc:
         print(f"zonet: error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -116,6 +117,24 @@ class TestNet:
         assert "zonet: error: --zone" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        (
+            (["-n", "24", "--theta", "37.3"],
+             "34de7d8eca1fe1ba3a11b2f3dd846a63ccc03ea1456c562a6c968637dbd5d54a"),
+            (["-n", "16", "--theta", "0"],
+             "d2b725a9094e9314b3b396450830284ec761645cc220fc42f44be1b86032d678"),
+            (["-n", "16", "--theta", "20", "--zone", "0"],
+             "0963dbbe688363a5f27fc8b2b1445c30a6146e584582d1f5cb7065bc297e90be"),
+        ),
+        ids=["24-37.3", "16-0", "16-20-zone0"],
+    )
+    def test_golden_bytes(self, tmp_path, argv, digest):
+        """Pinned sha256 of the SVG, so a writer rewrite cannot change a byte."""
+        out = tmp_path / "g.svg"
+        assert run(["net", *argv, "--svg", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run(["net", "-n", "12", "--theta", "35", "--svg", str(a)])
@@ -189,6 +208,16 @@ class TestSweep:
         assert "zonet: error: --jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid", (["--n-min", "10", "--n-max", "5"], ["--thetas", ","]), ids=["n", "thetas"]
+    )
+    def test_empty_grid_exits_2(self, tmp_path, capsys, grid):
+        """Zero cells is no verdict, so it must not read as a pass."""
+        out = tmp_path / "s.csv"
+        assert run(["sweep", *grid, "--csv", str(out)]) == 2
+        assert "zonet: error: the sweep grid has no cells" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         grid = ["--n-min", "3", "--n-max", "6", "--thetas", "0,1,50"]
@@ -242,6 +271,18 @@ class TestCrescentCommand:
         assert "zonet: error: --steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bound", (("--n-min", "0"), ("--n-min", "2"), ("--n-min", "-3"),
+                  ("--n-max", "inf"), ("--n-min", "nan")),
+        ids=["n-min-0", "n-min-2", "n-min-neg", "n-max-inf", "n-min-nan"],
+    )
+    def test_bound_below_3_or_not_finite_exits_2(self, tmp_path, capsys, bound):
+        """The ratio table starts at n = 3; no bound may leave [3, inf)."""
+        out = tmp_path / "c.csv"
+        assert run(["crescent", *bound, "--steps", "5", "--csv", str(out)]) == 2
+        assert "zonet: error: --n-min and --n-max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n3_row_uses_obtuse_branch(self, tmp_path):
         out = tmp_path / "c.csv"
         run(["crescent", "--steps", "10", "--csv", str(out)])
@@ -264,6 +305,38 @@ class TestSubtendedCommand:
         run(["subtended", "-n", "24", "--theta", "40", "--csv", str(out)])
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert float(rows[0]["beta_deg"]) == pytest.approx(11.48, abs=0.01)
+
+
+class TestRepeatedMain:
+    """`main` reuses one parser per process; no call may see another's state."""
+
+    def test_zone_does_not_leak_into_the_next_net(self, tmp_path):
+        full = tmp_path / "full.svg"
+        assert run(["net", "-n", "16", "--theta", "20", "--svg", str(full)]) == 0
+        zone, again = tmp_path / "zone.svg", tmp_path / "again.svg"
+        assert run(["net", "-n", "16", "--theta", "20", "--zone", "0", "--svg", str(zone)]) == 0
+        assert run(["net", "-n", "16", "--theta", "20", "--svg", str(again)]) == 0
+        assert zone.read_text().count("<polygon") == 15
+        assert again.read_bytes() == full.read_bytes()
+
+    def test_usage_error_does_not_change_the_next_verify(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["verify", "-n", "8", "--theta", "20", "--json", str(a)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "-n", "eight", "--theta", "20", "--json", str(b)])
+        assert exc.value.code == 2
+        assert not b.exists()
+        assert run(["verify", "-n", "8", "--theta", "20", "--json", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_patched_command_runs_after_the_first_call(self, monkeypatch, tmp_path):
+        """Tracers patch `cli.cmd_*` after a warm-up call; the patch must run."""
+        argv = ["subtended", "-n", "8", "--theta", "20", "--csv", str(tmp_path / "b.csv")]
+        assert run(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_subtended", lambda args: seen.append(args.n) or 7)
+        assert run(argv) == 7
+        assert seen == [8]
 
 
 @pytest.mark.parametrize(
