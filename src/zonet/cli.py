@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from functools import cache
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from . import crescent as crescent_mod
 from .unfold import assemble_net, planar_zone
 from .verify import net_overlap_oracle  # noqa: F401  perfbench's tracer patches this name
@@ -50,11 +52,11 @@ def parse_theta(text: str) -> float:
 
 def write_obj(z, stream) -> None:
     stream.write(f"# polar zonohedron n={z.params.n} theta={z.params.theta:.12g} rad\n")
-    for v in z.vertices:
-        stream.write("v %.12f %.12f %.12f\n" % (v[0], v[1], v[2]))
-    for f in z.faces:
-        a, b, d, c = (i + 1 for i in f.vertex_ids)
-        stream.write(f"f {a} {b} {d} {c}\n")
+    # one %-template per block: the vertices, then the faces' 1-based ids
+    coords = tuple(z.vertices.ravel().tolist())
+    stream.write("v %.12f %.12f %.12f\n" * len(z.vertices) % coords)
+    ids = [i + 1 for f in z.faces for i in f.vertex_ids]
+    stream.write("f %d %d %d %d\n" * len(z.faces) % tuple(ids))
 
 
 def mesh_as_dict(z) -> dict:
@@ -78,37 +80,36 @@ def _zone_color(zone_index: int, n: int) -> str:
 
 
 def write_svg(net, stream, zone_index: int | None = None, scale: float = 100.0) -> None:
-    zones = net.zones if zone_index is None else (net.zones[zone_index],)
-    xs = [p[0] for z in zones for quad in z.corners for p in quad]
-    ys = [p[1] for z in zones for quad in z.corners for p in quad]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    if zone_index is None:
+        drawn, corners = range(net.n), net.corners
+    else:
+        drawn, corners = (zone_index,), net.corners[zone_index : zone_index + 1]
+    xs, ys = corners[..., 0], corners[..., 1]
+    xmin, xmax = float(xs.min()), float(xs.max())
+    ymin, ymax = float(ys.min()), float(ys.max())
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1.0)
     x0, y0 = (xmin - pad) * scale, (ymin - pad) * scale
     w = (xmax - xmin + 2 * pad) * scale
     h = (ymax - ymin + 2 * pad) * scale
 
-    def pt(p) -> tuple[float, float]:
+    def pt(x, y):
         # SVG y grows downward; flip so the net appears as developed
-        return p[0] * scale - x0, h - (p[1] * scale - y0)
+        return x * scale - x0, h - (y * scale - y0)
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {w:.6f} {h:.6f}">\n'
     )
-    for zi, zone in enumerate(net.zones):
-        if zone_index is not None and zi != zone_index:
-            continue
+    for zi, zone in zip(drawn, np.stack(pt(xs, ys), axis=-1)):
         # one %-template per zone: the colour's own '%' signs are escaped
         color = _zone_color(zi, net.n).replace("%", "%%")
         polygon = (
             '<polygon points="%.6f,%.6f %.6f,%.6f %.6f,%.6f %.6f,%.6f" '
             f'fill="{color}" stroke="black" stroke-width="0.5"/>\n'
         )
-        coords = [c for quad in zone.corners for p in quad for c in pt(p)]
-        stream.write(polygon * len(zone.corners) % tuple(coords))
-    ox, oy = pt((0.0, 0.0))
+        stream.write(polygon * len(zone) % tuple(zone.ravel().tolist()))
+    ox, oy = pt(0.0, 0.0)
     stream.write(f'<circle cx="{ox:.6f}" cy="{oy:.6f}" r="3" fill="black"/>\n')
     stream.write("</svg>\n")
 

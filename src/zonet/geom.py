@@ -5,13 +5,14 @@ units.  ``circle_quad_arcs`` returns the raw arcs of one circle about the origin
 inside one quad, so a caller that collects arcs over many quads merges them once,
 with ``AngularIntervalSet.from_intervals``.  Each quad caches its per-edge
 circle-crossing coefficients, so only the radius-dependent terms are computed
-per call.  ``shrink_convex`` decides, once per quad, that its result is a
-strictly convex CCW quad; the overlap predicate for two such quads is then a
-bare separating-axis test.  Both use one filtered float orientation with an
-exact rational fallback: each orientation is decided in floating point when
-its error bound allows and otherwise on the binary-float values embedded
-losslessly as rationals, so "touching" versus "overlapping" is decided exactly
-with respect to the coordinates actually computed.
+per call.  ``shrink_quads`` shrinks a whole array of quads in one pass and
+decides, once per quad, that each result is a strictly convex CCW quad; the
+overlap predicate for two such quads is then a bare separating-axis test.
+Both use one filtered float orientation with an exact rational fallback: each
+orientation is decided in floating point when its error bound allows and
+otherwise on the binary-float values embedded losslessly as rationals, so
+"touching" versus "overlapping" is decided exactly with respect to the
+coordinates actually computed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +40,7 @@ CONTAIN_TOL = 1e-12
 #: a corner turning right by less than this still counts as convex in
 #: ``ConvexQuad.is_convex``
 CONVEX_TOL = 1e-12
-#: ``shrink_convex`` gives None for an edge shorter than this, or for two
+#: ``shrink_quads`` drops a quad with an edge shorter than this, or with two
 #: adjacent edge lines whose unit normals have a cross product below
 #: ``SHRINK_MIN_DET`` (parallel lines have no intersection to shrink to)
 SHRINK_MIN_EDGE = 1e-15
@@ -237,58 +240,68 @@ def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float
     return True
 
 
-def shrink_convex(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
-    """Offset every edge of a convex quad inward by ``delta``.
+#: index of each quad corner's successor and predecessor
+_NEXT = np.array([1, 2, 3, 0])
+_PREV = np.array([3, 0, 1, 2])
 
-    Returns the shrunk vertices (edge-line intersections) in CCW order, or
-    None when the quad is too thin to survive the offset.  Used to ignore
+
+def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offset every edge of each convex quad in ``quads`` (N, 4, 2) inward by ``delta``.
+
+    Returns ``(out, ok)``: where ``ok[k]``, ``out[k]`` holds quad k's shrunk
+    vertices (edge-line intersections) in CCW order; elsewhere quad k was too
+    thin to survive the offset and ``out[k]`` is meaningless.  Used to ignore
     hairline contacts: two convex regions overlap by more than a sliver of
     width ~delta iff their shrunk versions still intersect.
 
-    Every result turns strictly left at each of its four corners, decided by
-    the exact ``_orient``, so it is a simple, strictly convex, CCW quad:
-    ``polygons_interior_overlap`` relies on that.  Raises ValueError unless
-    ``vs`` has four vertices (a pentagram also turns left at every corner).
+    One array pass over all quads, with the float operations of a per-quad
+    loop in the same order, so each result is the same bits the quad alone
+    gives; edge lengths come from ``math.hypot``.  Every result turns
+    strictly left at each of its four corners, decided by the filtered float
+    orientation with ``_orient_exact`` for each corner the filter cannot
+    decide, so it is a simple, strictly convex, CCW quad:
+    ``polygons_interior_overlap`` relies on that.
+    """
+    q = np.asarray(quads, dtype=float)
+    with np.errstate(all="ignore"):  # rejected quads may divide by zero
+        area2 = _area2(q[..., 0], q[..., 1])
+        ok = ~(np.abs(area2) <= ConvexQuad.DEGENERATE_AREA)
+        q = np.where((area2 < 0.0)[:, None, None], q[:, ::-1], q)  # to CCW
+        x, y = q[..., 0], q[..., 1]
+        ex, ey = x[:, _NEXT] - x, y[:, _NEXT] - y
+        length = np.array(
+            list(map(math.hypot, ex.ravel().tolist(), ey.ravel().tolist()))
+        ).reshape(ex.shape)
+        ok &= ~(length < SHRINK_MIN_EDGE).any(axis=1)
+        # edge line i (outward normal for CCW order): nx*x + ny*y = c
+        nx, ny = ey / length, -ex / length
+        c = (nx * x + ny * y) - delta
+        # vertex i is where edge lines i - 1 and i meet
+        pnx, pny, pc = nx[:, _PREV], ny[:, _PREV], c[:, _PREV]
+        det = pnx * ny - pny * nx
+        ok &= ~(np.abs(det) < SHRINK_MIN_DET).any(axis=1)
+        ox = (pc * ny - c * pny) / det
+        oy = (pnx * c - nx * pc) / det
+        ok &= ~(_area2(ox, oy) <= ConvexQuad.DEGENERATE_AREA)
+        _reject_right_turns(ox, oy, ok)
+        # over-shrinking past the inradius produces a point-reflected phantom
+        # that is still convex and CCW; it is exposed by violating the
+        # shifted lines: side[k, vertex, line]
+        side = nx[:, None, :] * ox[:, :, None] + ny[:, None, :] * oy[:, :, None]
+        ok &= ~(side > (c + PHANTOM_SLACK)[:, None, :]).any(axis=(1, 2))
+    return np.stack((ox, oy), axis=-1), ok
+
+
+def shrink_convex(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
+    """``shrink_quads`` for one quad: its shrunk vertices, or None.
+
+    Raises ValueError unless ``vs`` has four vertices (a pentagram also
+    turns left at every corner).
     """
     if len(vs) != 4:
         raise ValueError("shrink_convex takes quads only")
-    pts = list(vs)
-    area2 = _signed_area2(pts)
-    if abs(area2) <= ConvexQuad.DEGENERATE_AREA:
-        return None
-    if area2 < 0.0:
-        pts = list(reversed(pts))
-    lines = []  # (nx, ny, c) with nx*x + ny*y = c on the shifted edge line
-    for i in range(4):
-        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % 4]
-        ex, ey = x1 - x0, y1 - y0
-        length = math.hypot(ex, ey)
-        if length < SHRINK_MIN_EDGE:
-            return None
-        nx, ny = ey / length, -ex / length  # outward normal for CCW order
-        lines.append((nx, ny, nx * x0 + ny * y0 - delta))
-    out: list[Point2] = []
-    for i in range(4):
-        a = lines[i - 1]
-        b = lines[i]
-        det = a[0] * b[1] - a[1] * b[0]
-        if abs(det) < SHRINK_MIN_DET:
-            return None
-        x = (a[2] * b[1] - b[2] * a[1]) / det
-        y = (a[0] * b[2] - b[0] * a[2]) / det
-        out.append((x, y))
-    if _signed_area2(out) <= ConvexQuad.DEGENERATE_AREA:
-        return None
-    for i in range(4):
-        if _orient(out[i - 2], out[i - 1], out[i]) <= 0:
-            return None
-    # over-shrinking past the inradius produces a point-reflected phantom that
-    # is still convex and CCW; it is exposed by violating the shifted planes
-    for x, y in out:
-        for nx, ny, c in lines:
-            if nx * x + ny * y > c + PHANTOM_SLACK:
-                return None
-    return out
+    out, ok = shrink_quads(np.array([vs], dtype=float), delta)
+    return [tuple(p) for p in out[0].tolist()] if ok[0] else None  # type: ignore[misc]
 
 
 def _signed_area2(vs: Sequence[Point2]) -> float:
@@ -299,6 +312,37 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
         x1, y1 = vs[(i + 1) % n]
         s += x0 * y1 - x1 * y0
     return s
+
+
+def _area2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each quad, summed from 0.0 edge by edge as
+    ``_signed_area2`` sums it."""
+    t = x * y[:, _NEXT] - x[:, _NEXT] * y
+    return 0.0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+
+
+def _reject_right_turns(x: np.ndarray, y: np.ndarray, ok: np.ndarray) -> None:
+    """Clear ``ok[k]`` unless quad k turns strictly left at every corner.
+
+    ``_orient`` over all corners (i - 2, i - 1, i) at once: the float filter
+    decides most, and each corner it cannot decide of a quad still in ``ok``
+    goes to ``_orient_exact``.
+    """
+    ax, ay = x[:, _PREV[_PREV]], y[:, _PREV[_PREV]]
+    bx, by = x[:, _PREV], y[:, _PREV]
+    left = (bx - ax) * (y - ay)
+    right = (by - ay) * (x - ax)
+    det = left - right
+    bound = _CCW_ERRBOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_ERR
+    ok &= ~(det < -bound).any(axis=1)
+    undecided = ~((det > bound) | (det < -bound)) & ok[:, None]
+    for k, i in np.argwhere(undecided).tolist():
+        if ok[k] and _orient_exact(
+            (float(ax[k, i]), float(ay[k, i])),
+            (float(bx[k, i]), float(by[k, i])),
+            (float(x[k, i]), float(y[k, i])),
+        ) <= 0:
+            ok[k] = False
 
 
 def circle_quad_arcs(r: float, q: ConvexQuad) -> tuple[tuple[float, float], ...]:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .geom import NULL_EDGE_SQ, ConvexQuad, Point2
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
@@ -37,6 +39,11 @@ class PlanarZone:
     @property
     def o(self) -> Point2:
         return self.corners[0][0]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """``corners`` as one (n - 1, 4, 2) float array."""
+        return np.array(self.corners, dtype=float)
 
     @cached_property
     def rhombs(self) -> tuple[ConvexQuad, ...]:
@@ -84,19 +91,25 @@ class PlanarZone:
         return upper, lower, flat
 
     def rotated(self, angle: float, about: Point2 = (0.0, 0.0)) -> "PlanarZone":
-        c, s = math.cos(angle), math.sin(angle)
-        ox, oy = about
+        quads = _rotate(self.array, math.cos(angle), math.sin(angle), about)
+        return PlanarZone(self.n, self.theta, self.alpha, _as_tuples(quads))
 
-        def rot(p: Point2) -> Point2:
-            x, y = p[0] - ox, p[1] - oy
-            return (ox + c * x - s * y, oy + s * x + c * y)
 
-        return PlanarZone(
-            self.n,
-            self.theta,
-            self.alpha,
-            tuple(tuple(rot(p) for p in quad) for quad in self.corners),  # type: ignore[arg-type]
-        )
+def _rotate(pts: np.ndarray, c, s, about: Point2 = (0.0, 0.0)) -> np.ndarray:
+    """Points ``pts[..., 0:2]`` rotated about ``about`` by the angle with
+    cosine ``c`` and sine ``s``; arrays of ``c`` and ``s`` broadcast against
+    ``pts[..., 0]``.  Each coordinate is ``(ox + c*x) - s*y`` or
+    ``(oy + s*x) + c*y`` on x = px - ox, y = py - oy, in that float order,
+    whether c and s are scalars or arrays.
+    """
+    ox, oy = about
+    x = pts[..., 0] - ox
+    y = pts[..., 1] - oy
+    return np.stack(((ox + c * x) - s * y, (oy + s * x) + c * y), axis=-1)
+
+
+def _as_tuples(quads: np.ndarray) -> tuple[tuple[Point2, Point2, Point2, Point2], ...]:
+    return tuple(tuple(map(tuple, quad)) for quad in quads.tolist())  # type: ignore[misc]
 
 
 def _segment_distance(p: Point2, q: Point2) -> float:
@@ -110,20 +123,42 @@ def _segment_distance(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] + t * dx, p[1] + t * dy)
 
 
-@dataclass(frozen=True)
 class Net:
-    """The full unfolding: n copies of one zone, zone i rotated by i*alpha."""
+    """The full unfolding: n copies of one zone, zone i rotated by i*alpha.
 
-    n: int
-    theta: float
-    alpha: float
-    zones: tuple[PlanarZone, ...]
+    Built from either view of the same net: ``zones``, a tuple of
+    ``PlanarZone``s, or ``corners``, one (n, n - 1, 4, 2) array whose
+    ``corners[i, k]`` is zone i's rhomb R_{k+1} in ``PlanarZone.corners``
+    order.  The other view is derived on first use.
+    """
 
-    def labeled_quads(self):
-        """Yield (zone_index, rhomb_index, corner tuple) over the whole net."""
-        for zi, zone in enumerate(self.zones):
-            for ri, quad in enumerate(zone.corners):
-                yield zi, ri, quad
+    def __init__(
+        self,
+        n: int,
+        theta: float,
+        alpha: float,
+        zones: tuple[PlanarZone, ...] | None = None,
+        *,
+        corners: np.ndarray | None = None,
+    ) -> None:
+        if (zones is None) == (corners is None):
+            raise ValueError("a Net is built from exactly one of zones and corners")
+        self.n, self.theta, self.alpha = n, theta, alpha
+        if zones is not None:
+            self.__dict__["zones"] = tuple(zones)
+        else:
+            self.__dict__["corners"] = corners
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        return np.array([zone.corners for zone in self.zones], dtype=float)
+
+    @cached_property
+    def zones(self) -> tuple[PlanarZone, ...]:
+        return tuple(
+            PlanarZone(self.n, self.theta, self.alpha, _as_tuples(quads))
+            for quads in self.corners
+        )
 
 
 @lru_cache(maxsize=64)
@@ -160,6 +195,10 @@ def theta_zero_zone(n: int) -> PlanarZone:
 
 
 def assemble_net(n: int, theta: float) -> Net:
+    """Zone 0 rotated about o by i*alpha for each zone i, in one array pass."""
     zone0 = planar_zone(n, theta)
-    zones = tuple(zone0.rotated(i * zone0.alpha) for i in range(n))
-    return Net(n, theta, zone0.alpha, zones)
+    angles = [i * zone0.alpha for i in range(n)]
+    # math.cos/sin, as PlanarZone.rotated uses, so both give the same bits
+    c = np.array([math.cos(a) for a in angles])[:, None, None]
+    s = np.array([math.sin(a) for a in angles])[:, None, None]
+    return Net(n, theta, zone0.alpha, corners=_rotate(zone0.array, c, s))

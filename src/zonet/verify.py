@@ -28,7 +28,7 @@ from .geom import (
     covering_arc_of_angles,
     polygons_interior_overlap,
     shortest_covering_arc,
-    shrink_convex,
+    shrink_quads,
 )
 from .unfold import Net, PlanarZone, assemble_net, planar_zone
 
@@ -275,6 +275,9 @@ def _corner_angle(u, v, w) -> float:
 
 
 OVERLAP_SLACK = 1e-9
+#: box pairs the sort-and-prune pass expands at once: its temporaries stay
+#: at a few arrays of this many entries whatever n is
+PRUNE_BLOCK = 1 << 18
 
 
 def net_overlap_oracle(
@@ -282,51 +285,72 @@ def net_overlap_oracle(
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All pairs of rhombs from different zones whose interiors overlap.
 
-    Every rhomb is first shrunk inward by ``slack``; ``shrink_convex``
-    decides exactly, once per rhomb, that the result is a strictly convex CCW
-    quad (or drops it), so each candidate pair is tested with a bare exact
-    separating-axis predicate (a filtered float predicate with an exact
-    rational fallback).  The shrink absorbs the ~1e-16 placement noise of
-    the floating-point net: zones that touch along exactly-shared boundaries
-    in the ideal net (the pole-edge fan; the theta = 0 chain abutments)
-    would otherwise produce hairline "overlaps" whose presence depends on
-    rounding direction.  Real overlaps are many orders of magnitude wider
-    than the slack and are always reported.
+    Every rhomb of ``net.corners`` is first shrunk inward by ``slack`` in one
+    ``shrink_quads`` pass, which decides exactly, once per rhomb, that the
+    result is a strictly convex CCW quad (or drops it), so each candidate
+    pair is tested with a bare exact separating-axis predicate (a filtered
+    float predicate with an exact rational fallback).  The shrink absorbs
+    the ~1e-16 placement noise of the floating-point net: zones that touch
+    along exactly-shared boundaries in the ideal net (the pole-edge fan; the
+    theta = 0 chain abutments) would otherwise produce hairline "overlaps"
+    whose presence depends on rounding direction.  Real overlaps are many
+    orders of magnitude wider than the slack and are always reported.
 
-    A fast bounding-box pass discards the overwhelming majority of pairs;
-    overlap of the shrunk interiors forces their open bounding boxes to
-    overlap, so the prefilter loses nothing.
+    The candidates are the cross-zone pairs whose open bounding boxes
+    overlap, found by sort-and-prune; overlap of the shrunk interiors forces
+    their boxes to overlap, so the prefilter loses nothing.  Pairs and hits
+    come in (zone, rhomb)-major order.
     """
-    labels = []
-    quads = []
-    for zi, ri, quad in net.labeled_quads():
-        labels.append((zi, ri))
-        quads.append(shrink_convex(quad, slack))
-    keep = [i for i, q in enumerate(quads) if q is not None]
-    labels = [labels[i] for i in keep]
-    quads = [quads[i] for i in keep]
-    if not quads:
-        return []
-    pts = np.array(quads)  # (N, 4, 2)
-    mins = pts.min(axis=1)
-    maxs = pts.max(axis=1)
-    zones = np.array([z for z, _ in labels])
-
+    per_zone = net.corners.shape[1]
+    shrunk, ok = shrink_quads(net.corners.reshape(-1, 4, 2), slack)
+    keep = np.flatnonzero(ok)
+    quads = shrunk[keep]
+    first, second = _candidate_pairs(quads.min(axis=1), quads.max(axis=1), keep // per_zone)
+    pts = quads.tolist()
+    labels = keep.tolist()
     hits = []
-    n_quads = len(quads)
-    for i in range(n_quads):
-        cross = zones[i + 1 :] != zones[i]
-        box = (
-            (mins[i + 1 :, 0] < maxs[i, 0])
-            & (mins[i, 0] < maxs[i + 1 :, 0])
-            & (mins[i + 1 :, 1] < maxs[i, 1])
-            & (mins[i, 1] < maxs[i + 1 :, 1])
-        )
-        for off in np.nonzero(cross & box)[0]:
-            j = i + 1 + int(off)
-            if polygons_interior_overlap(quads[i], quads[j]):
-                hits.append((labels[i], labels[j]))
+    for i, j in zip(first.tolist(), second.tolist()):
+        if polygons_interior_overlap(pts[i], pts[j]):
+            hits.append((divmod(labels[i], per_zone), divmod(labels[j], per_zone)))
     return hits
+
+
+def _candidate_pairs(
+    mins: np.ndarray, maxs: np.ndarray, zones: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, in (i, j) order, of boxes from different zones
+    whose open boxes overlap.
+
+    Sort-and-prune on x (J. D. Cohen, M. C. Lin, D. Manocha, M. Ponamgi,
+    "I-COLLIDE", I3D 1995): in order of left edge, box k's x-range meets
+    exactly the boxes after it that start before it ends, a contiguous run.
+    Every box has positive width, so those runs are all the x-overlapping
+    pairs, each once; the runs are expanded ``PRUNE_BLOCK`` pairs at a time
+    and kept when their zones differ and their y-ranges overlap.
+    """
+    order = np.argsort(mins[:, 0], kind="stable")
+    lo_x = mins[order, 0]
+    lo_y, hi_y, zone = mins[order, 1], maxs[order, 1], zones[order]
+    count = np.searchsorted(lo_x, maxs[order, 0], side="left") - np.arange(len(order)) - 1
+    done = np.concatenate(([0], np.cumsum(count)))  # pairs before each row
+    firsts, seconds = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    start = 0
+    while start < len(order):
+        # the rows whose runs fit in one block, and at least one row
+        stop = int(np.searchsorted(done, done[start] + PRUNE_BLOCK, side="right")) - 1
+        stop = max(stop, start + 1)
+        rows = np.arange(start, stop)
+        runs = count[start:stop]
+        a = np.repeat(rows, runs)
+        b = np.arange(len(a)) - np.repeat(done[start:stop] - done[start], runs) + a + 1
+        hit = (zone[a] != zone[b]) & (lo_y[b] < hi_y[a]) & (lo_y[a] < hi_y[b])
+        a, b = order[a[hit]], order[b[hit]]
+        firsts.append(np.minimum(a, b))
+        seconds.append(np.maximum(a, b))
+        start = stop
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    pick = np.lexsort((second, first))
+    return first[pick], second[pick]
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,8 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     # outward plane of each face through its first vertex; a dent tilts the
     # planes of the faces around it, putting their neighbours outside
     normals = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat face fails convex
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     normals *= np.sign(np.einsum("ij,ij->i", normals, pts.mean(axis=1) - center))[:, None]
     planes = np.column_stack([normals, -np.einsum("ij,ij->i", normals, pts[:, 0])])
     viol = _max_plane_violation(planes, verts)
@@ -245,7 +246,11 @@ HULL_BLOCK = 64  # planes per block: the largest temporary is HULL_BLOCK x verti
 
 
 def _max_plane_violation(planes: np.ndarray, verts: np.ndarray) -> float:
-    """max over planes and vertices of normal . v + offset, in blocks of planes."""
+    """max over planes and vertices of normal . v + offset, in blocks of planes.
+
+    NaN when any plane value is NaN (a face too flat to have a normal), so
+    that ``convex`` fails rather than passing on the other planes.
+    """
     buf = np.empty((min(HULL_BLOCK, len(planes)), len(verts)))
     coords = np.ascontiguousarray(verts.T)
     worst = -np.inf
@@ -254,5 +259,5 @@ def _max_plane_violation(planes: np.ndarray, verts: np.ndarray) -> float:
         out = buf[: len(block)]
         np.matmul(block[:, :3], coords, out=out)
         out += block[:, 3:4]
-        worst = max(worst, float(out.max()))
-    return worst
+        worst = np.maximum(worst, out.max())  # keeps a NaN, unlike max()
+    return float(worst)

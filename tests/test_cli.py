@@ -78,6 +78,32 @@ class TestBuild:
     def test_theta_zero_exits_2(self):
         assert run(["build", "-n", "8", "--theta", "0"]) == 2
 
+    def test_numerically_flat_solid_exits_2(self, capsys):
+        """At theta = 1e-300 rad the face normals are 0/0: convex must fail."""
+        assert run(["build", "-n", "8", "--theta", "1e-300rad"]) == 2
+        err = capsys.readouterr().err
+        assert "construction invariant failed" in err and "convex" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        (
+            (["-n", "16", "--theta", "20", "--obj"],
+             "a6ae1b48f62d6a646e18afe60a5c3bf045fda569017bb9ee013e036cdb8fc62f"),
+            (["-n", "16", "--theta", "20", "--json"],
+             "6cc1ded13d1a246a01e1cbb86f0b5fe97c6bf65d24d2b694fd37548915a47713"),
+            (["-n", "24", "--theta", "37.3", "--obj"],
+             "d00e91543b5223236219da6120b65aa6096b10add21d9d24b71f48afae8cb9d2"),
+            (["-n", "24", "--theta", "37.3", "--json"],
+             "0bc91f974642b3c91c3d387fa706c4e780f326dc563d35bb1ba4c45ca7f22e93"),
+        ),
+        ids=["16-20-obj", "16-20-json", "24-37.3-obj", "24-37.3-json"],
+    )
+    def test_golden_bytes(self, tmp_path, argv, digest):
+        """Pinned sha256 of the mesh files, so a writer rewrite cannot change a byte."""
+        out = tmp_path / "mesh"
+        assert run(["build", *argv, str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestNet:
     def test_polygon_count_full_net(self, tmp_path):

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import reference_shrink
 
 from zonet import geom
 from zonet.geom import (
@@ -17,6 +19,7 @@ from zonet.geom import (
     polygons_interior_overlap,
     shortest_covering_arc,
     shrink_convex,
+    shrink_quads,
 )
 from zonet.verify import OVERLAP_SLACK
 
@@ -337,6 +340,79 @@ class TestShrinkConvex:
         if out is not None:
             assert len(out) == 4
             assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
+
+
+def shrunk_bits(quad):
+    """A shrunk quad's coordinates as float.hex strings: -0.0 differs from 0.0."""
+    return None if quad is None else [(float(x).hex(), float(y).hex()) for x, y in quad]
+
+
+@st.composite
+def thin_parallelograms(draw):
+    """Parallelograms whose width is within a few 1e-13 of twice the shrink
+    slack, anywhere up to 1e3 from the origin and up to 1e3 long, in either
+    orientation: the shrunk corners sit at the float filter's limits."""
+    f = st.floats
+    ang = draw(f(0.0, TWO_PI))
+    length = draw(st.sampled_from((1.0, 10.0, 100.0, 1000.0)))
+    width = 2.0 * OVERLAP_SLACK + draw(st.sampled_from((-1e-13, 0.0, 3e-14, 1e-13, 3e-13, 1e-6)))
+    cx, cy = draw(f(-1e3, 1e3)), draw(f(-1e3, 1e3))
+    u = (length * math.cos(ang), length * math.sin(ang))
+    v = (-width * math.sin(ang), width * math.cos(ang))
+    quad = [(cx, cy), (cx + u[0], cy + u[1]), (cx + u[0] + v[0], cy + u[1] + v[1]), (cx + v[0], cy + v[1])]
+    return quad[::-1] if draw(st.booleans()) else quad
+
+
+any_quads = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=4, max_size=4)
+
+
+class TestBatchedShrink:
+    """``shrink_quads`` gives, quad by quad, the bits of the per-quad
+    ``reference_shrink`` it replaced, and ``shrink_convex`` is its batch of one."""
+
+    @given(
+        st.lists(st.one_of(thin_parallelograms(), any_quads), min_size=1, max_size=8),
+        st.sampled_from((OVERLAP_SLACK, 1e-3, 0.3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_reference(self, quads, delta):
+        out, ok = shrink_quads(np.array(quads), delta)
+        for quad, shrunk, kept in zip(quads, out.tolist(), ok.tolist()):
+            ref = reference_shrink(quad, delta)
+            assert shrunk_bits(shrunk if kept else None) == shrunk_bits(ref)
+            assert shrunk_bits(shrink_convex(quad, delta)) == shrunk_bits(ref)
+
+    def test_undecided_corner_goes_exact(self, monkeypatch):
+        """A parallelogram 2*OVERLAP_SLACK + 1e-13 wide and 1e3 long near
+        (1e3, 1e3): after the shrink it is 1e-13 wide, and at one corner the
+        float determinant reads negative while the exact one is positive.
+        The filter cannot decide that corner, the rational fallback keeps the
+        quad, and every fallback verdict is the Fraction orientation."""
+        quad = [
+            (999.7773546484882, 999.9160249174467),
+            (363.4624359090793, 1771.3454281616189),
+            (363.46243590753636, 1771.3454281603463),
+            (999.7773546469452, 999.916024916174),
+        ]
+        calls = []
+        exact = geom._orient_exact
+
+        def spy(a, b, c):
+            calls.append((a, b, c, exact(a, b, c)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(geom, "_orient_exact", spy)
+        out = shrink_convex(quad, OVERLAP_SLACK)
+        assert calls
+        for a, b, c, verdict in calls:
+            assert verdict == _fraction_orient(a, b, c)
+        float_dets = [
+            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) for a, b, c, _ in calls
+        ]
+        assert any(d < 0.0 and v == 1 for d, (*_, v) in zip(float_dets, calls))
+        assert out is not None
+        assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
+        assert shrunk_bits(out) == shrunk_bits(reference_shrink(quad, OVERLAP_SLACK))
 
 
 class TestExactOverlap:

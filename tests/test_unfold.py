@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonet.cli import DEFAULT_THETAS
-from zonet.unfold import PlanarZone, assemble_net, planar_zone, theta_zero_zone
+from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone, theta_zero_zone
 from zonet.zonohedron import Params, Zonohedron, build
 
 # The 3D rollout below is the independent reference for the closed-form
@@ -282,11 +282,40 @@ class TestHalfSplit:
 
 
 class TestNet:
-    def test_labeled_quads_count(self):
+    def test_corner_array_and_zones_agree(self):
+        """Both views of one net hold the same bits, whichever it was built from."""
         net = assemble_net(8, math.radians(50))
-        labels = list(net.labeled_quads())
-        assert len(labels) == 8 * 7
-        assert labels[0][:2] == (0, 0)
+        assert net.corners.shape == (8, 7, 4, 2)
+        assert net.zones[0] == planar_zone(8, math.radians(50))
+        rebuilt = Net(net.n, net.theta, net.alpha, net.zones)
+        assert rebuilt.corners.tobytes() == net.corners.tobytes()
+        assert [z.corners for z in rebuilt.zones] == [z.corners for z in net.zones]
+
+    def test_rotated_zone_matches_the_assembled_net_bitwise(self):
+        """PlanarZone.rotated and assemble_net share one rotation: zone i of
+        the net is zone 0 rotated by i*alpha, to the last bit."""
+        net = assemble_net(13, math.radians(35))
+        for i in range(13):
+            rotated = net.zones[0].rotated(i * net.alpha)
+            assert rotated.array.tobytes() == net.corners[i].tobytes()
+
+    @pytest.mark.parametrize("n,theta_deg", [(5, 0.0), (16, 20.0), (24, 37.3), (40, 89.5)])
+    def test_net_matches_scalar_rotation_bitwise(self, n, theta_deg):
+        """Each corner is (0 + c*x) - s*y, (0 + s*x) + c*y with c, s from
+        math.cos/math.sin of i*alpha, evaluated point by point in Python."""
+        net = assemble_net(n, math.radians(theta_deg))
+        zone0 = planar_zone(n, math.radians(theta_deg))
+        for i in range(n):
+            c, s = math.cos(i * net.alpha), math.sin(i * net.alpha)
+            expected = [
+                [[0.0 + c * x - s * y, 0.0 + s * x + c * y] for x, y in quad]
+                for quad in zone0.corners
+            ]
+            assert np.array(expected).tobytes() == net.corners[i].tobytes()
+
+    def test_needs_exactly_one_view(self):
+        with pytest.raises(ValueError):
+            Net(8, 0.5, 0.4)
 
     def test_alpha_consistency(self):
         net = assemble_net(24, math.radians(40))

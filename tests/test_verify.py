@@ -4,8 +4,11 @@ import dataclasses
 import math
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_oracle, reference_shrink
+from test_geom import shrunk_bits
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS
@@ -311,6 +314,53 @@ class TestOverlapOracle:
                 assert verdict == reference_overlap(a, b)
 
 
+class TestOracleMatchesReference:
+    """Sort-and-prune over the batched shrink asks the predicate about the
+    same pairs of shrunk quads, in the same order, as the per-row
+    ``reference_oracle``, so it reports the same hits in the same order.
+    The shrunk quads are the reference's bits (``test_shrink_*`` and
+    ``test_geom.TestBatchedShrink``), so float equality suffices here."""
+
+    @staticmethod
+    def assert_same(monkeypatch, net):
+        asked = {verify: [], reference: []}
+        for module, pairs in asked.items():
+            def recording(a, b, pairs=pairs):
+                pairs.append((tuple(map(tuple, a)), tuple(map(tuple, b))))
+                return polygons_interior_overlap(a, b)
+
+            monkeypatch.setattr(module, "polygons_interior_overlap", recording)
+        hits = net_overlap_oracle(net)
+        assert hits == reference_oracle(net)
+        assert asked[verify] == asked[reference]
+        return hits
+
+    def test_fault_injected_nets(self, monkeypatch):
+        for bad in (TestOverlapOracle._misrotated_net(), TestOverlapOracle._translated_net()):
+            assert len(self.assert_same(monkeypatch, bad)) >= 1
+
+    @pytest.mark.parametrize("theta_deg", ("0", "0.5", "20", "60", "89.5"))
+    def test_small_n(self, monkeypatch, theta_deg):
+        for n in range(3, 33):
+            assert self.assert_same(monkeypatch, assemble_net(n, math.radians(float(theta_deg)))) == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (64, 128))
+    @pytest.mark.parametrize("theta_deg", (20.0, 89.5))
+    def test_large_n(self, monkeypatch, n, theta_deg):
+        assert self.assert_same(monkeypatch, assemble_net(n, math.radians(theta_deg))) == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (*range(3, 33), 64))
+    def test_shrink_is_bit_identical_over_default_thetas(self, n):
+        for text in DEFAULT_THETAS.split(","):
+            quads = assemble_net(n, math.radians(float(text))).corners.reshape(-1, 4, 2)
+            out, ok = verify.shrink_quads(quads, verify.OVERLAP_SLACK)
+            for quad, shrunk, kept in zip(quads.tolist(), out.tolist(), ok.tolist()):
+                expected = shrunk_bits(reference_shrink(quad, verify.OVERLAP_SLACK))
+                assert shrunk_bits(shrunk if kept else None) == expected
+
+
 class TestRunVerification:
     @pytest.mark.parametrize(
         "n,theta_deg",
@@ -319,6 +369,10 @@ class TestRunVerification:
     def test_representative_cells_pass(self, n, theta_deg):
         rep = run_verification(n, math.radians(theta_deg))
         assert rep.passed, rep.failures()
+
+    @pytest.mark.slow
+    def test_n256_passes(self):
+        assert run_verification(256, math.radians(20.0)).passed
 
     def test_theta_zero_runs_degenerate_checks(self):
         rep = run_verification(16, 0.0)

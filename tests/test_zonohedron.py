@@ -270,6 +270,20 @@ class TestValidationFaults:
         full = np.max(eqs[:, :3] @ verts.T + eqs[:, 3:4])
         assert _max_plane_violation(eqs, verts) == pytest.approx(full, abs=1e-14)
 
+    @pytest.mark.parametrize("nan_plane", (0, HULL_BLOCK + 1, -1))
+    def test_nan_plane_value_gives_nan(self, nan_plane):
+        """A NaN plane value in any block survives the blocks after it."""
+        rng = np.random.default_rng(8)
+        eqs = rng.normal(size=(3 * HULL_BLOCK + 5, 4))
+        eqs[nan_plane] = np.nan
+        assert math.isnan(_max_plane_violation(eqs, rng.normal(size=(50, 3))))
+
+    def test_numerically_flat_solid_fails_convex(self):
+        """At theta = 1e-300 rad every face normal is 0/0 or x/0: convex must
+        fail rather than pass on a -inf margin."""
+        with pytest.raises(ConstructionError, match="convex"):
+            build(Params(8, 1e-300))
+
 
 def test_library_runs_without_scipy():
     """build, validate, verification and net assembly never import scipy."""
