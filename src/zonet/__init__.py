@@ -10,7 +10,7 @@ from .zonohedron import (
     rhomb_angle,
     validate,
 )
-from .unfold import Net, PlanarZone, assemble_net, planar_zone, theta_zero_zone
+from .unfold import Net, PlanarZone, assemble_net, planar_zone
 from .verify import (
     VerificationReport,
     beta_of_r,
@@ -40,7 +40,6 @@ __all__ = [
     "rhomb_angle",
     "rhomb_subtended_angles",
     "run_verification",
-    "theta_zero_zone",
     "validate",
 ]
 

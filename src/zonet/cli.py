@@ -201,8 +201,10 @@ def cmd_sweep(args) -> int:
     ]
     if not cells:
         raise ValueError("the sweep grid has no cells: check --n-min, --n-max and --thetas")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit: never more than cells
+    jobs = min(args.jobs, len(cells))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=4))
     else:
         rows = [_sweep_cell(c) for c in cells]

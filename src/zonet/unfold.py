@@ -169,7 +169,10 @@ def planar_zone(n: int, theta: float) -> PlanarZone:
     -gamma_k, where gamma_k = rhomb_angle(Params(n, theta), k) is rhomb
     R_k's corner between its pole-side edge and the left chain; the right
     chain is the left chain shifted by (1, 0).  At theta = 0, gamma_k =
-    alpha * min(k, n - k), which gives the doubly-covered n-gon's S-strip.
+    alpha * min(k, n - k), which gives the doubly-covered n-gon's S-strip:
+    two half polygons, mirrored, whose upper half has its right boundary on
+    a circle of radius 1/(2 sin(alpha/2)) through o, and for n even a central
+    rhomb collapsed to a unit segment.
     """
     p = Params(n, theta)
     left = [(0.0, 0.0)]
@@ -182,16 +185,6 @@ def planar_zone(n: int, theta: float) -> PlanarZone:
         for tl, bl in zip(left, left[1:])
     )
     return PlanarZone(n, theta, p.alpha, corners)
-
-
-def theta_zero_zone(n: int) -> PlanarZone:
-    """The doubly-covered n-gon unfolding: a mirrored S of two half polygons.
-
-    The upper half's right boundary lies on a circle of radius
-    1/(2 sin(alpha/2)) through o, and for n even the central rhomb collapses
-    to a unit segment.
-    """
-    return planar_zone(n, 0.0)
 
 
 def assemble_net(n: int, theta: float) -> Net:

@@ -9,9 +9,13 @@ Everything here is numeric but event-driven: the combinatorics of C(r) within
 the zone only change at radii where the circle passes through a vertex or
 grazes an edge.  beta is evaluated at every such event radius and at both of
 its one-sided neighbours; beta is monotone between events, so those samples
-reach its supremum.  The one fully exact check is `net_overlap_oracle`, which
-tests rhomb pairs of the assembled net with a filtered float predicate with an
-exact rational fallback and is independent of the beta machinery.
+reach its supremum.  Each cell computes that profile once: at theta = 0 the
+upper-half and lower-half checks read their radius windows off the same
+profile that bounds beta by alpha.
+
+The one fully exact check is `net_overlap_oracle`, which tests rhomb pairs of
+the assembled net with a filtered float predicate with an exact rational
+fallback and is independent of the beta machinery.
 """
 
 from __future__ import annotations
@@ -66,34 +70,24 @@ def _quad_edges(quad):
     return [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
 
 
-def zone_arcs(
-    zone: PlanarZone, r: float, indices: tuple[int, ...] | None = None
-) -> AngularIntervalSet:
-    """Union of angular intervals of C(r) inside the selected rhombs."""
-    ranges = zone.radius_ranges
-    rhombs = zone.rhombs
-    idx = range(len(rhombs)) if indices is None else indices
+def zone_arcs(zone: PlanarZone, r: float) -> AngularIntervalSet:
+    """Union of angular intervals of C(r) inside the zone's rhombs."""
     pieces = []
-    for i in idx:
-        lo, hi = ranges[i]
+    for (lo, hi), rhomb in zip(zone.radius_ranges, zone.rhombs):
         if lo - RANGE_SLACK <= r <= hi + RANGE_SLACK:
-            pieces.extend(circle_quad_arcs(r, rhombs[i]))
+            pieces.extend(circle_quad_arcs(r, rhomb))
     return AngularIntervalSet.from_intervals(pieces)
 
 
-def beta_of_r(
-    zone: PlanarZone, r: float, indices: tuple[int, ...] | None = None
-) -> float | None:
+def beta_of_r(zone: PlanarZone, r: float) -> float | None:
     """Covering-arc angle of C(r) within the zone; None if C(r) misses it."""
-    return shortest_covering_arc(zone_arcs(zone, r, indices))
+    return shortest_covering_arc(zone_arcs(zone, r))
 
 
-def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> list[float]:
+def critical_radii(zone: PlanarZone) -> list[float]:
     """Radii where C(r) passes through a vertex or grazes an edge of the zone."""
-    idx = range(len(zone.corners)) if indices is None else indices
     events: set[float] = set()
-    for i in idx:
-        quad = zone.corners[i]
+    for quad in zone.corners:
         for p in quad:
             d = math.hypot(*p)
             if d > MIN_RADIUS:
@@ -115,7 +109,7 @@ def critical_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> 
     return out
 
 
-def sample_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> list[float]:
+def sample_radii(zone: PlanarZone) -> list[float]:
     """Every event radius e with its neighbours e - EVENT_EPS and e + EVENT_EPS.
 
     Between consecutive events C(r) crosses the same edges, and while beta < pi
@@ -127,20 +121,18 @@ def sample_radii(zone: PlanarZone, indices: tuple[int, ...] | None = None) -> li
     Below the first event C(r) meets only R_1, cornered at o: beta = alpha.
     """
     rs: set[float] = set()
-    for e in critical_radii(zone, indices):
+    for e in critical_radii(zone):
         for r in (e - EVENT_EPS, e, e + EVENT_EPS):
             if r > MIN_RADIUS:
                 rs.add(r)
     return sorted(rs)
 
 
-def beta_profile(
-    zone: PlanarZone, indices: tuple[int, ...] | None = None
-) -> list[tuple[float, float]]:
+def beta_profile(zone: PlanarZone) -> list[tuple[float, float]]:
     """(r, beta(r)) over the event radii and their neighbours, skipping misses."""
     out = []
-    for r in sample_radii(zone, indices):
-        b = beta_of_r(zone, r, indices)
+    for r in sample_radii(zone):
+        b = beta_of_r(zone, r)
         if b is not None:
             out.append((r, b))
     return out
@@ -439,30 +431,27 @@ def run_verification(n: int, theta: float, check_overlap: bool = True) -> Verifi
 
     upper, lower, flat = zone.half_split()
     if theta == 0.0:
-        # radii reaching the central rhomb or the lower half are the
-        # transition cases where the arc is split across the halves; the
-        # exact-alpha claim is for circles meeting the upper half alone
+        # below r_only_upper C(r) meets the upper half alone, where the
+        # exact-alpha claim holds; radii reaching the central rhomb or the
+        # lower half are the transition cases where the arc is split across
+        # the halves
         ranges = zone.radius_ranges
-        r_only_upper = min(
-            ranges[i][0] for i in (*lower, *(() if flat is None else (flat,)))
-        )
-        udev = max(abs(b - alpha) for r, b in beta_profile(zone, upper) if r < r_only_upper)
+        r_only_upper = min(ranges[i][0] for i in range(len(upper), n - 1))
+        udev = max(abs(b - alpha) for r, b in profile if r < r_only_upper)
         rep.checks["upper_half"] = CheckResult.of(
             [(BETA_TOL - udev, True)], "C(r) covers exactly alpha of the upper half"
         )
         # strictly inside the lower half: at the transition radius (through
         # the corners where the halves meet) the arc subtends exactly alpha/2;
         # beta is monotone up to the next event, so that event's lower
-        # neighbour bounds the interval just above the transition
-        r_transition = max(
-            math.hypot(*p) for i in (*upper, *(() if flat is None else (flat,))) for p in zone.corners[i]
+        # neighbour bounds the interval just above the transition.  Past
+        # r_transition + 2 EVENT_EPS every upper rhomb and the central one
+        # lie more than RANGE_SLACK out of range, so C(r) meets the lower
+        # half alone
+        r_transition = max(ranges[i][1] for i in range(lower[0]))
+        lmargin = min(
+            alpha / 2.0 - b for r, b in profile if r > r_transition + 2.0 * EVENT_EPS
         )
-        lb = [
-            b
-            for r, b in beta_profile(zone, lower)
-            if r > r_transition + 2.0 * EVENT_EPS
-        ]
-        lmargin = min(alpha / 2.0 - b for b in lb)
         rep.checks["lower_half"] = CheckResult.of(
             [(lmargin - STRICT_MARGIN, True)], "lower-half arcs stay under alpha/2"
         )

@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull
 
 from zonet import crescent as cr
 from zonet.cli import DEFAULT_THETAS, _sweep_cell, main, parse_theta
-from zonet.unfold import Net, assemble_net, planar_zone, theta_zero_zone
+from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
     beta_profile,
@@ -35,8 +35,8 @@ def report(line: str) -> None:
 
 def test_01_alpha_anchors():
     """Pole rhomb angle at four pinned parameter points."""
-    a16 = math.degrees(theta_zero_zone(16).alpha)
-    a17 = math.degrees(theta_zero_zone(17).alpha)
+    a16 = math.degrees(planar_zone(16, 0.0).alpha)
+    a17 = math.degrees(planar_zone(17, 0.0).alpha)
     a20 = math.degrees(Params(20, 0.5).alpha)
     a24 = math.degrees(Params(24, math.radians(40)).alpha)
     assert a16 == pytest.approx(22.5, abs=1e-12)
@@ -70,7 +70,7 @@ def test_02_full_grid_beta_bound_and_overlap_oracle():
 
 
 def _theta_zero_bands(n):
-    zone = theta_zero_zone(n)
+    zone = planar_zone(n, 0.0)
     upper, lower, flat = zone.half_split()
     ranges = zone.radius_ranges
     flat_t = () if flat is None else (flat,)
@@ -102,11 +102,12 @@ def test_04_theta_zero_lower_half_below_half_alpha():
     worst = -math.inf
     for n in range(4, 33):
         zone, lower, _, r_lo, r_hi = _theta_zero_bands(n)
+        lower_zone = PlanarZone(n, 0.0, zone.alpha, tuple(zone.corners[i] for i in lower))
         w = r_hi - r_lo
         count = 0
         for i in range(200):
             r = (r_lo + 1e-4 * w) + (w - 2e-4 * w) * (i + 0.5) / 200
-            b = beta_of_r(zone, r, lower)
+            b = beta_of_r(lower_zone, r)
             if b is None:
                 continue
             count += 1
@@ -125,7 +126,7 @@ def test_05_flat_rhomb_angle_and_chord_bound():
             fr = flat_rhomb_check(zone, beta_profile(zone))
             assert abs(fr.corner_angle - 2.0 * theta) < 1e-10, (n, theta_deg)
             assert fr.max_chord < 2.0 - 1e-12, (n, theta_deg, fr.max_chord)
-        zone0 = theta_zero_zone(n)
+        zone0 = planar_zone(n, 0.0)
         fr0 = flat_rhomb_check(zone0, beta_profile(zone0))
         assert abs(fr0.chord_at_corner_radius - 2.0) <= 1e-9, (n, fr0)
     report("5 flat rhomb: pass (corner = 2 theta, chords < 2; = 2 at theta = 0)")

@@ -197,6 +197,26 @@ class TestVerify:
         for body in doc["checks"].values():
             assert set(body) == {"pass", "margin", "detail"}
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        (
+            (["-n", "3", "--theta", "0"],
+             "5fa3280f1d6dc21ea5bfe01065560d27a477f3db8c09ec15268417dd8d910dd0"),
+            (["-n", "9", "--theta", "0"],
+             "2a8de29e738daabc4eb00f590eb2f950f7c5c5b527d86141c68f909cf49cf35f"),
+            (["-n", "16", "--theta", "0"],
+             "0ea34385b98897a44795ab7651ae91b9fed2017de14c954afb4497f32b3baba6"),
+            (["-n", "16", "--theta", "20"],
+             "d5dc88d4771543042821dad6e4f85e71af299e5a07229850befb8e11daeccbb9"),
+        ),
+        ids=["3-0", "9-0", "16-0", "16-20"],
+    )
+    def test_golden_bytes(self, tmp_path, argv, digest):
+        """Pinned sha256 of the JSON report, so every margin keeps its bits."""
+        out = tmp_path / "v.json"
+        assert run(["verify", *argv, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSweep:
     def test_single_row_matches_verify(self, tmp_path):
@@ -249,6 +269,33 @@ class TestSweep:
         grid = ["--n-min", "3", "--n-max", "6", "--thetas", "0,1,50"]
         assert run(["sweep", *grid, "--jobs", "1", "--csv", str(a)]) == 0
         assert run(["sweep", *grid, "--jobs", "4", "--csv", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_never_outnumbers_cells(self, monkeypatch, tmp_path):
+        """The pool starts every worker at once, so --jobs above the cell
+        count must not reach it; an in-process stand-in records the size."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--n-min", "5", "--n-max", "5", "--thetas", "0,20"]
+        assert run(["sweep", *grid, "--jobs", "1", "--csv", str(a)]) == 0
+        assert sizes == []
+        assert run(["sweep", *grid, "--jobs", "64", "--csv", str(b)]) == 0
+        assert sizes == [2]
         assert a.read_bytes() == b.read_bytes()
 
     def test_failing_verify_check_fails_the_row(self, monkeypatch, tmp_path):

@@ -112,9 +112,9 @@ class TestGeometry:
         """Both circles really do carry the boundary chains of the lower half."""
         n = 16
         geo = cr.crescent_geometry(float(n))
-        from zonet.unfold import theta_zero_zone
+        from zonet.unfold import planar_zone
 
-        zone = theta_zero_zone(n)
+        zone = planar_zone(n, 0.0)
         _, lower, flat = zone.half_split()
         left = [zone.corners[i][0] for i in lower] + [zone.corners[lower[-1]][3]]
         for p in left:

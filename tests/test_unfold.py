@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonet.cli import DEFAULT_THETAS
-from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone, theta_zero_zone
+from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.zonohedron import Params, Zonohedron, build
 
 # The 3D rollout below is the independent reference for the closed-form
@@ -215,7 +215,7 @@ class TestZoneSymmetry:
 class TestThetaZero:
     def test_upper_chain_on_circle_through_o(self):
         n = 16
-        zone = theta_zero_zone(n)
+        zone = planar_zone(n, 0.0)
         rc = 1.0 / (2.0 * math.sin(math.pi / n))
         # the right chain of the upper half lies on a circle through o
         center = (0.5, -math.sqrt(rc * rc - 0.25))
@@ -224,7 +224,7 @@ class TestThetaZero:
         assert math.hypot(*center) == pytest.approx(rc, abs=1e-12)
 
     def test_central_rhomb_collapses_for_even_n(self):
-        zone = theta_zero_zone(16)
+        zone = planar_zone(16, 0.0)
         tl, tr, br, bl = zone.corners[7]
         assert math.dist(tl, bl) == pytest.approx(1.0, abs=1e-12)
         # zero area: the four corners sit on one segment
@@ -237,7 +237,7 @@ class TestThetaZero:
     def test_s_shape_point_symmetry(self, n):
         # the lower half is the upper half rotated by pi about the chain
         # midpoint: chain[k] + chain[n-k] is constant along the chain
-        chain = theta_zero_zone(n).left_chain
+        chain = planar_zone(n, 0.0).left_chain
         last = len(chain) - 1
         sx, sy = chain[0][0] + chain[last][0], chain[0][1] + chain[last][1]
         for k in range(last + 1):
@@ -247,14 +247,14 @@ class TestThetaZero:
     def test_matches_small_theta_limit(self):
         """The theta = 0 development is the limit of the 3D rollout."""
         n = 12
-        z0 = theta_zero_zone(n)
+        z0 = planar_zone(n, 0.0)
         zt = develop_zone(build(Params(n, 1e-5)), 0)
         # the development drifts linearly in theta near the degenerate case
         assert max_corner_deviation(z0, zt) < 1e-4
 
     def test_rejects_n_below_3(self):
         with pytest.raises(ValueError):
-            theta_zero_zone(2)
+            planar_zone(2, 0.0)
 
 
 class TestHalfSplit:
@@ -268,14 +268,14 @@ class TestHalfSplit:
         ],
     )
     def test_split_indices(self, n, upper, lower, flat):
-        zone = theta_zero_zone(n)
+        zone = planar_zone(n, 0.0)
         u, l, f = zone.half_split()
         assert (u, l, f) == (upper, lower, flat)
 
     @given(st.integers(3, 40))
     @settings(max_examples=40, deadline=None)
     def test_split_partitions_all_rhombs(self, n):
-        zone = theta_zero_zone(n)
+        zone = planar_zone(n, 0.0)
         u, l, f = zone.half_split()
         everything = sorted((*u, *l, *(() if f is None else (f,))))
         assert everything == list(range(n - 1))

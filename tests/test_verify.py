@@ -71,24 +71,28 @@ class TestBetaOfR:
             assert any(a < r < b for r in rs)
 
 
-def reference_profile(zone, indices=None):
+def reference_profile(zone):
     """``beta_profile`` with the arcs of each radius collected as before the
     per-quad edge tables: every rhomb is re-tested against its radius range
     and clipped by the uncached reference kernel."""
     from test_geom import reference_circle_quad_arcs
 
-    idx = range(len(zone.corners)) if indices is None else indices
     out = []
-    for r in sample_radii(zone, indices=indices):
+    for r in sample_radii(zone):
         pieces = []
-        for i in idx:
-            dmin, dmax = zone.radius_ranges[i]
+        for (dmin, dmax), rhomb in zip(zone.radius_ranges, zone.rhombs):
             if dmin - 1e-12 <= r <= dmax + 1e-12:
-                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, zone.rhombs[i]))
+                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, rhomb))
         b = shortest_covering_arc(AngularIntervalSet.from_intervals(pieces))
         if b is not None:
             out.append((r, b))
     return out
+
+
+def sub_zone(zone, idx):
+    """The zone cut down to the rhombs ``idx``: its profile is the profile of
+    C(r) against those rhombs alone."""
+    return PlanarZone(zone.n, zone.theta, zone.alpha, tuple(zone.corners[i] for i in idx))
 
 
 class TestProfileMatchesReference:
@@ -97,10 +101,39 @@ class TestProfileMatchesReference:
         for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
             zone = planar_zone(n, math.radians(theta_deg))
             assert beta_profile(zone) == reference_profile(zone), theta_deg
+
+
+class TestOneProfilePerCell:
+    @pytest.mark.parametrize("n", (*range(3, 33), 64))
+    def test_half_windows_match_the_half_profiles(self, n):
+        """The theta = 0 half checks, read off the one profile, give the
+        margins of the profiles of the upper and the lower half alone."""
         zone = planar_zone(n, 0.0)
-        upper, lower, _ = zone.half_split()
-        for indices in (upper, lower):
-            assert beta_profile(zone, indices=indices) == reference_profile(zone, indices)
+        alpha = zone.alpha
+        upper, lower, flat = zone.half_split()
+        flat_t = () if flat is None else (flat,)
+        r_only_upper = min(zone.radius_ranges[i][0] for i in (*lower, *flat_t))
+        r_transition = max(math.hypot(*p) for i in (*upper, *flat_t) for p in zone.corners[i])
+        udev = max(
+            abs(b - alpha) for r, b in beta_profile(sub_zone(zone, upper)) if r < r_only_upper
+        )
+        lmargin = min(
+            alpha / 2.0 - b
+            for r, b in beta_profile(sub_zone(zone, lower))
+            if r > r_transition + 2.0 * verify.EVENT_EPS
+        )
+        checks = run_verification(n, 0.0, check_overlap=False).checks
+        assert checks["upper_half"].margin == verify.BETA_TOL - udev
+        assert checks["lower_half"].margin == lmargin - verify.STRICT_MARGIN
+
+    @pytest.mark.parametrize("theta", (0.0, math.radians(20.0)))
+    @pytest.mark.parametrize("n", (9, 16))
+    def test_profile_runs_once(self, monkeypatch, n, theta):
+        calls = []
+        real = verify.beta_profile
+        monkeypatch.setattr(verify, "beta_profile", lambda zone: calls.append(1) or real(zone))
+        run_verification(n, theta, check_overlap=False)
+        assert len(calls) == 1
 
 
 def dense_profile(zone, per_interval=9):
@@ -562,13 +595,15 @@ class TestMarginSign:
     def test_lower_half_gap_below_strict_margin(self, monkeypatch):
         """Lower-half arcs short of alpha/2 by less than STRICT_MARGIN fail."""
         real = verify.beta_profile
-        lower = planar_zone(9, 0.0).half_split()[1]
+        zone = planar_zone(9, 0.0)
+        lower = zone.half_split()[1]
+        r_transition = max(zone.radius_ranges[i][1] for i in range(lower[0]))
 
-        def profile(zone, indices=None):
-            rb = real(zone, indices)
-            if indices != lower:
-                return rb
-            return [(r, zone.alpha / 2.0 - 0.5 * verify.STRICT_MARGIN) for r, _ in rb]
+        def profile(zone):
+            return [
+                (r, zone.alpha / 2.0 - 0.5 * verify.STRICT_MARGIN if r > r_transition else b)
+                for r, b in real(zone)
+            ]
 
         monkeypatch.setattr(verify, "beta_profile", profile)
         check = run_verification(9, 0.0, check_overlap=False).checks["lower_half"]
