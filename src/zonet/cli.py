@@ -32,6 +32,8 @@ from .verify import rhomb_subtended_angles, run_verification
 from .zonohedron import Params, build
 
 SCHEMA_VERSION = 1
+#: SVG user units per rhomb edge
+SVG_SCALE = 100.0
 DEFAULT_THETAS = "0,0.5,1,2,5,10,20,30,40,50,60,70,80,85,89,89.5"
 
 
@@ -79,7 +81,7 @@ def _zone_color(zone_index: int, n: int) -> str:
     return f"hsl({hue}, 60%, 70%)"
 
 
-def write_svg(net, stream, zone_index: int | None = None, scale: float = 100.0) -> None:
+def write_svg(net, stream, zone_index: int | None = None) -> None:
     if zone_index is None:
         drawn, corners = range(net.n), net.corners
     else:
@@ -88,13 +90,13 @@ def write_svg(net, stream, zone_index: int | None = None, scale: float = 100.0) 
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1.0)
-    x0, y0 = (xmin - pad) * scale, (ymin - pad) * scale
-    w = (xmax - xmin + 2 * pad) * scale
-    h = (ymax - ymin + 2 * pad) * scale
+    x0, y0 = (xmin - pad) * SVG_SCALE, (ymin - pad) * SVG_SCALE
+    w = (xmax - xmin + 2 * pad) * SVG_SCALE
+    h = (ymax - ymin + 2 * pad) * SVG_SCALE
 
     def pt(x, y):
         # SVG y grows downward; flip so the net appears as developed
-        return x * scale - x0, h - (y * scale - y0)
+        return x * SVG_SCALE - x0, h - (y * SVG_SCALE - y0)
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(

@@ -1,13 +1,14 @@
-"""Planar primitives: angles, angular interval sets, circle/quad arcs, exact overlap.
+"""Planar primitives: angles, merged arc sets, circle/quad arcs, exact overlap.
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
 units.  ``circle_quad_arcs`` returns the raw arcs of one circle about the origin
 inside one quad, so a caller that collects arcs over many quads merges them once,
-with ``AngularIntervalSet.from_intervals``.  Each quad caches its per-edge
-circle-crossing coefficients, so only the radius-dependent terms are computed
-per call.  ``shrink_quads`` shrinks a whole array of quads in one pass and
-decides, once per quad, that each result is a strictly convex CCW quad; the
-overlap predicate for two such quads is then a bare separating-axis test.
+with ``merge_arcs``, and measures the merged arcs with ``shortest_covering_arc``.
+``circle_table`` computes a quad's per-edge circle-crossing coefficients once,
+so only the radius-dependent terms are computed per call.  ``shrink_quads``
+shrinks a whole array of quads in one pass and decides, once per quad, that
+each result is a strictly convex CCW quad; the overlap predicate for two such
+quads is then a bare separating-axis test.
 Both use one filtered float orientation with an exact rational fallback: each
 orientation is decided in floating point when its error bound allows and
 otherwise on the binary-float values embedded losslessly as rationals, so
@@ -18,17 +19,15 @@ coordinates actually computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: gaps smaller than this are merged when building interval sets (float noise
-#: at shared rhomb edges)
+#: gaps smaller than this are merged when merging arcs (float noise at shared
+#: rhomb edges)
 MERGE_EPS = 1e-12
 #: edges whose squared length is below this are points: they cross no circle
 NULL_EDGE_SQ = 1e-30
@@ -37,9 +36,9 @@ NULL_EDGE_SQ = 1e-30
 CROSSING_T_SLACK = 1e-12
 #: a point this far outside an edge line still counts as inside a quad
 CONTAIN_TOL = 1e-12
-#: a corner turning right by less than this still counts as convex in
-#: ``ConvexQuad.is_convex``
-CONVEX_TOL = 1e-12
+#: a quad whose doubled signed area is at most this in magnitude is
+#: degenerate: it has no circle table and shrinks to nothing
+DEGENERATE_AREA = 1e-14
 #: ``shrink_quads`` drops a quad with an edge shorter than this, or with two
 #: adjacent edge lines whose unit normals have a cross product below
 #: ``SHRINK_MIN_DET`` (parallel lines have no intersection to shrink to)
@@ -50,6 +49,9 @@ SHRINK_MIN_DET = 1e-15
 PHANTOM_SLACK = 1e-12
 
 Point2 = tuple[float, float]
+Arcs = tuple[tuple[float, float], ...]
+#: ``circle_table``'s ``(crossing, sides)`` edge coefficients
+CircleTable = tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]
 
 
 def normalize_angle(a: float) -> float:
@@ -62,76 +64,53 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class AngularIntervalSet:
-    """A union of arcs on the circle, canonical and pairwise disjoint.
+def merge_arcs(pairs: Iterable[tuple[float, float]]) -> Arcs:
+    """The canonical union of CCW (start, end) arcs, pairwise disjoint.
 
-    Each stored interval is (start, end) with start in [0, 2*pi) and
-    start < end <= start + 2*pi; end > 2*pi marks an arc wrapping through 0.
+    end < start is read as wrapping through 0.  Each merged arc is (start,
+    end) with start in [0, 2*pi) and start < end <= start + 2*pi; end > 2*pi
+    marks an arc wrapping through 0.  Arcs shorter than MERGE_EPS are
+    dropped and arcs separated by gaps below MERGE_EPS merged; a union
+    reaching 2*pi - MERGE_EPS is the full circle ``((0.0, 2*pi),)``.
     """
-
-    intervals: tuple[tuple[float, float], ...] = ()
-
-    @staticmethod
-    def full_circle() -> "AngularIntervalSet":
-        return AngularIntervalSet(((0.0, TWO_PI),))
-
-    @staticmethod
-    def from_intervals(
-        pairs: Iterable[tuple[float, float]], merge_eps: float = MERGE_EPS
-    ) -> "AngularIntervalSet":
-        """Build a canonical set from CCW (start, end) arcs.
-
-        end < start is read as wrapping through 0.  Arcs of length below
-        merge_eps are dropped; arcs separated by gaps below merge_eps are
-        merged.
-        """
-        norm: list[tuple[float, float]] = []
-        for a, b in pairs:
-            length = b - a
-            if length >= TWO_PI - merge_eps:
-                return AngularIntervalSet.full_circle()
-            length = math.fmod(length, TWO_PI)
-            if length < 0.0:
-                length += TWO_PI
-            if length <= merge_eps:
-                continue
-            s = normalize_angle(a)
-            norm.append((s, s + length))
-        if not norm:
-            return AngularIntervalSet(())
-        norm.sort()
-        merged = [list(norm[0])]
-        for s, e in norm[1:]:
-            if s <= merged[-1][1] + merge_eps:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        # wrap-around: the last interval may reach past 2*pi into leading ones
-        while len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI - merge_eps:
-            s0, e0 = merged.pop(0)
-            merged[-1][1] = max(merged[-1][1], e0 + TWO_PI)
-        total = sum(e - s for s, e in merged)
-        if total >= TWO_PI - merge_eps:
-            return AngularIntervalSet.full_circle()
-        return AngularIntervalSet(tuple((s, e) for s, e in merged))
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
-    @property
-    def measure(self) -> float:
-        return sum(e - s for s, e in self.intervals)
+    norm: list[tuple[float, float]] = []
+    for a, b in pairs:
+        length = b - a
+        if length >= TWO_PI - MERGE_EPS:
+            return ((0.0, TWO_PI),)
+        length = math.fmod(length, TWO_PI)
+        if length < 0.0:
+            length += TWO_PI
+        if length <= MERGE_EPS:
+            continue
+        s = normalize_angle(a)
+        norm.append((s, s + length))
+    if not norm:
+        return ()
+    norm.sort()
+    merged = [list(norm[0])]
+    for s, e in norm[1:]:
+        if s <= merged[-1][1] + MERGE_EPS:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    # wrap-around: the last arc may reach past 2*pi into leading ones
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI - MERGE_EPS:
+        s0, e0 = merged.pop(0)
+        merged[-1][1] = max(merged[-1][1], e0 + TWO_PI)
+    if sum(e - s for s, e in merged) >= TWO_PI - MERGE_EPS:
+        return ((0.0, TWO_PI),)
+    return tuple((s, e) for s, e in merged)
 
 
-def shortest_covering_arc(s: AngularIntervalSet) -> float | None:
-    """Angle of the shortest single arc covering every interval of ``s``.
+def shortest_covering_arc(ivs: Arcs) -> float | None:
+    """Angle of the shortest single arc covering the merged arcs ``ivs``
+    (a ``merge_arcs`` result).
 
-    Returns None for an empty set (no intersection), which is distinct from a
-    zero-measure answer.  For a single interval this is its measure; in general
-    it is 2*pi minus the largest gap between consecutive intervals.
+    Returns None for no arcs (no intersection), which is distinct from a
+    zero-measure answer.  For a single arc this is its length; in general
+    it is 2*pi minus the largest gap between consecutive arcs.
     """
-    ivs = s.intervals
     if not ivs:
         return None
     if len(ivs) == 1:
@@ -165,71 +144,34 @@ def covering_arc_of_angles(angles: Sequence[float]) -> float | None:
 # convex quadrilaterals and circle intersection
 
 
-@dataclass(frozen=True)
-class ConvexQuad:
-    """Four vertices in CCW order; zero-area quads must be flagged degenerate."""
+def circle_table(vs: Sequence[Point2]) -> CircleTable | None:
+    """Per-edge coefficients of a convex quad for meeting circles about the
+    origin, or None for a degenerate quad (doubled area within DEGENERATE_AREA).
 
-    vertices: tuple[Point2, Point2, Point2, Point2]
-    degenerate: bool = False
-
-    DEGENERATE_AREA = 1e-14
-
-    @staticmethod
-    def from_vertices(vs: Sequence[Point2]) -> "ConvexQuad":
-        """Orient to CCW; auto-flag degenerate when the area vanishes."""
-        if len(vs) != 4:
-            raise ValueError("quad needs exactly 4 vertices")
-        area2 = _signed_area2(vs)
-        if abs(area2) <= ConvexQuad.DEGENERATE_AREA:
-            return ConvexQuad(tuple(vs), degenerate=True)  # type: ignore[arg-type]
-        if area2 < 0.0:
-            vs = list(reversed(vs))
-        q = ConvexQuad(tuple(vs))  # type: ignore[arg-type]
-        if not q.is_convex():
-            raise ValueError("quad is not convex")
-        return q
-
-    def is_convex(self, tol: float = CONVEX_TOL) -> bool:
-        vs = self.vertices
-        for i in range(4):
-            a, b, c = vs[i], vs[(i + 1) % 4], vs[(i + 2) % 4]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross < -tol:
-                return False
-        return True
-
-    def contains(self, p: Point2, tol: float = CONTAIN_TOL) -> bool:
-        """Closed containment test (boundary counts as inside)."""
-        if self.degenerate:
-            return False
-        return _inside(self.circle_table[1], p[0], p[1], tol)
-
-    @cached_property
-    def circle_table(
-        self,
-    ) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
-        """Per-edge coefficients for meeting circles about the origin.
-
-        ``(crossing, sides)``: ``crossing`` holds ``(x0, y0, dx, dy, a, b, cc,
-        2a)`` for every edge ``(x0, y0) + t (dx, dy)`` of positive length,
-        where ``a t^2 + b t + cc - r^2 = 0`` puts the edge point on the circle
-        of radius r; ``sides`` holds ``(x0, y0, dx, dy)`` for all four edges,
-        for the containment test.  Computed once per quad, so a circle of
-        each new radius costs only its radius-dependent terms.
-        """
-        vs = self.vertices
-        crossing = []
-        sides = []
-        for i in range(4):
-            (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % 4]
-            dx, dy = x1 - x0, y1 - y0
-            sides.append((x0, y0, dx, dy))
-            a = dx * dx + dy * dy
-            if a < NULL_EDGE_SQ:
-                continue
-            b = 2.0 * (x0 * dx + y0 * dy)
-            crossing.append((x0, y0, dx, dy, a, b, x0 * x0 + y0 * y0, 2.0 * a))
-        return tuple(crossing), tuple(sides)
+    ``(crossing, sides)``, with the vertices taken in CCW order: ``crossing``
+    holds ``(x0, y0, dx, dy, a, b, cc, 2a)`` for every edge ``(x0, y0) + t
+    (dx, dy)`` of positive length, where ``a t^2 + b t + cc - r^2 = 0`` puts
+    the edge point on the circle of radius r; ``sides`` holds ``(x0, y0, dx,
+    dy)`` for all four edges, for the containment test.  Computed once per
+    quad, so a circle of each new radius costs only its radius-dependent terms.
+    """
+    area2 = _signed_area2(vs)
+    if abs(area2) <= DEGENERATE_AREA:
+        return None
+    if area2 < 0.0:
+        vs = vs[::-1]
+    crossing = []
+    sides = []
+    for i in range(4):
+        (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % 4]
+        dx, dy = x1 - x0, y1 - y0
+        sides.append((x0, y0, dx, dy))
+        a = dx * dx + dy * dy
+        if a < NULL_EDGE_SQ:
+            continue
+        b = 2.0 * (x0 * dx + y0 * dy)
+        crossing.append((x0, y0, dx, dy, a, b, x0 * x0 + y0 * y0, 2.0 * a))
+    return tuple(crossing), tuple(sides)
 
 
 def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float) -> bool:
@@ -265,7 +207,7 @@ def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     q = np.asarray(quads, dtype=float)
     with np.errstate(all="ignore"):  # rejected quads may divide by zero
         area2 = _area2(q[..., 0], q[..., 1])
-        ok = ~(np.abs(area2) <= ConvexQuad.DEGENERATE_AREA)
+        ok = ~(np.abs(area2) <= DEGENERATE_AREA)
         q = np.where((area2 < 0.0)[:, None, None], q[:, ::-1], q)  # to CCW
         x, y = q[..., 0], q[..., 1]
         ex, ey = x[:, _NEXT] - x, y[:, _NEXT] - y
@@ -282,7 +224,7 @@ def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
         ok &= ~(np.abs(det) < SHRINK_MIN_DET).any(axis=1)
         ox = (pc * ny - c * pny) / det
         oy = (pnx * c - nx * pc) / det
-        ok &= ~(_area2(ox, oy) <= ConvexQuad.DEGENERATE_AREA)
+        ok &= ~(_area2(ox, oy) <= DEGENERATE_AREA)
         _reject_right_turns(ox, oy, ok)
         # over-shrinking past the inradius produces a point-reflected phantom
         # that is still convex and CCW; it is exposed by violating the
@@ -345,21 +287,23 @@ def _reject_right_turns(x: np.ndarray, y: np.ndarray, ok: np.ndarray) -> None:
             ok[k] = False
 
 
-def circle_quad_arcs(r: float, q: ConvexQuad) -> tuple[tuple[float, float], ...]:
+def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
     """CCW arcs (start, end) of angles phi with r*(cos phi, sin phi) inside
-    quad ``q``, unmerged; feed them to ``AngularIntervalSet.from_intervals``.
+    the quad whose ``circle_table`` is ``table``, unmerged; feed them to
+    ``merge_arcs``.
 
     The circle is about the origin (translate the quad to move it).  It is
-    intersected with each edge, using the quad's cached ``circle_table``; the
+    intersected with each edge, using the table's coefficients; the
     resulting angular partition is classified by midpoint membership.  At
     most 4 arcs can result.  Zero-measure contacts (tangency, a degenerate
-    quad) give no arc: the overlap machinery cares about interior points only.
+    quad, whose table is None) give no arc: the overlap machinery cares
+    about interior points only.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    if q.degenerate:
+    if table is None:
         return ()
-    crossing, sides = q.circle_table
+    crossing, sides = table
     rr = r * r
     crossings: list[float] = []
     for x0, y0, dx, dy, a, b, cc, a2 in crossing:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import NULL_EDGE_SQ, ConvexQuad, Point2
+from .geom import NULL_EDGE_SQ, CircleTable, Point2, circle_table
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
@@ -46,8 +46,10 @@ class PlanarZone:
         return np.array(self.corners, dtype=float)
 
     @cached_property
-    def rhombs(self) -> tuple[ConvexQuad, ...]:
-        return tuple(ConvexQuad.from_vertices(c) for c in self.corners)
+    def circle_tables(self) -> tuple[CircleTable | None, ...]:
+        """Each rhomb's ``circle_table``; None only for the central rhomb
+        collapsed to a segment at theta = 0, n even."""
+        return tuple(map(circle_table, self.corners))
 
     @cached_property
     def radius_ranges(self) -> tuple[tuple[float, float], ...]:

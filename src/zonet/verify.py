@@ -27,9 +27,10 @@ import numpy as np
 
 from .geom import (
     NULL_EDGE_SQ,
-    AngularIntervalSet,
+    Arcs,
     circle_quad_arcs,
     covering_arc_of_angles,
+    merge_arcs,
     polygons_interior_overlap,
     shortest_covering_arc,
     shrink_quads,
@@ -70,13 +71,13 @@ def _quad_edges(quad):
     return [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
 
 
-def zone_arcs(zone: PlanarZone, r: float) -> AngularIntervalSet:
-    """Union of angular intervals of C(r) inside the zone's rhombs."""
+def zone_arcs(zone: PlanarZone, r: float) -> Arcs:
+    """The merged arcs of C(r) inside the zone's rhombs."""
     pieces = []
-    for (lo, hi), rhomb in zip(zone.radius_ranges, zone.rhombs):
+    for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
         if lo - RANGE_SLACK <= r <= hi + RANGE_SLACK:
-            pieces.extend(circle_quad_arcs(r, rhomb))
-    return AngularIntervalSet.from_intervals(pieces)
+            pieces.extend(circle_quad_arcs(r, table))
+    return merge_arcs(pieces)
 
 
 def beta_of_r(zone: PlanarZone, r: float) -> float | None:
@@ -272,16 +273,14 @@ OVERLAP_SLACK = 1e-9
 PRUNE_BLOCK = 1 << 18
 
 
-def net_overlap_oracle(
-    net: Net, slack: float = OVERLAP_SLACK
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+def net_overlap_oracle(net: Net) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All pairs of rhombs from different zones whose interiors overlap.
 
-    Every rhomb of ``net.corners`` is first shrunk inward by ``slack`` in one
-    ``shrink_quads`` pass, which decides exactly, once per rhomb, that the
-    result is a strictly convex CCW quad (or drops it), so each candidate
-    pair is tested with a bare exact separating-axis predicate (a filtered
-    float predicate with an exact rational fallback).  The shrink absorbs
+    Every rhomb of ``net.corners`` is first shrunk inward by
+    ``OVERLAP_SLACK`` in one ``shrink_quads`` pass, which decides exactly,
+    once per rhomb, that the result is a strictly convex CCW quad (or drops
+    it), so each candidate pair is tested with a bare exact separating-axis
+    predicate (a filtered float predicate with an exact rational fallback).  The shrink absorbs
     the ~1e-16 placement noise of the floating-point net: zones that touch
     along exactly-shared boundaries in the ideal net (the pole-edge fan; the
     theta = 0 chain abutments) would otherwise produce hairline "overlaps"
@@ -294,7 +293,7 @@ def net_overlap_oracle(
     come in (zone, rhomb)-major order.
     """
     per_zone = net.corners.shape[1]
-    shrunk, ok = shrink_quads(net.corners.reshape(-1, 4, 2), slack)
+    shrunk, ok = shrink_quads(net.corners.reshape(-1, 4, 2), OVERLAP_SLACK)
     keep = np.flatnonzero(ok)
     quads = shrunk[keep]
     first, second = _candidate_pairs(quads.min(axis=1), quads.max(axis=1), keep // per_zone)

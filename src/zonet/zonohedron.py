@@ -140,7 +140,7 @@ def build(p: Params) -> Zonohedron:
     """Construct P(n, theta) for theta > 0; structural invariants are checked."""
     if p.theta <= 0.0:
         raise ConstructionError(
-            "theta = 0 collapses the solid; use the unfold module's degenerate path"
+            "theta = 0 collapses the solid; develop it with planar_zone(n, 0)"
         )
     n = p.n
     gens = generators(p)
@@ -193,7 +193,7 @@ class ValidationReport:
         return [k for k, ok in self.checks.items() if not ok]
 
 
-def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
+def validate(z: Zonohedron) -> ValidationReport:
     """Check edge lengths, planarity, closedness, symmetry, and convexity."""
     rep = ValidationReport()
     verts = z.vertices
@@ -203,12 +203,12 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     sides = np.roll(pts, -1, axis=1) - pts
     edge_dev = float(np.max(np.abs(np.linalg.norm(sides, axis=2) - 1.0)))
     rep.margins["max_edge_length_deviation"] = edge_dev
-    rep.checks["unit_edges"] = edge_dev <= tol
+    rep.checks["unit_edges"] = edge_dev <= VALIDATION_TOL
     # a parallelogram closes: a - b + d - c = 0
     closure = pts[:, 0] - pts[:, 1] + pts[:, 2] - pts[:, 3]
     planarity = float(np.max(np.linalg.norm(closure, axis=1)))
     rep.margins["max_face_nonplanarity"] = planarity
-    rep.checks["planar_faces"] = planarity <= tol
+    rep.checks["planar_faces"] = planarity <= VALIDATION_TOL
 
     # closed orientable surface: every undirected edge in exactly two faces
     ends = np.stack([ids, np.roll(ids, -1, axis=1)], axis=2).reshape(-1, 2)
@@ -224,7 +224,7 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     mirror = _vertex_index(n, (start + length) % n, n - length)
     sym = float(np.max(np.linalg.norm(verts + verts[mirror] - 2.0 * center, axis=1)))
     rep.margins["central_symmetry_residual"] = sym
-    rep.checks["central_symmetry"] = sym <= tol
+    rep.checks["central_symmetry"] = sym <= VALIDATION_TOL
 
     # outward plane of each face through its first vertex; a dent tilts the
     # planes of the faces around it, putting their neighbours outside
@@ -237,7 +237,7 @@ def validate(z: Zonohedron, tol: float = VALIDATION_TOL) -> ValidationReport:
     rep.margins["max_face_plane_violation"] = viol
     # with closed_mesh, no vertex outside any face plane puts every face on
     # the hull's boundary, so the surface is that boundary
-    rep.checks["convex"] = viol <= max(tol, HULL_TOL)
+    rep.checks["convex"] = viol <= HULL_TOL
 
     return rep
 

@@ -17,7 +17,7 @@ from zonet.geom import (
     PHANTOM_SLACK,
     SHRINK_MIN_DET,
     SHRINK_MIN_EDGE,
-    ConvexQuad,
+    DEGENERATE_AREA,
     _orient,
     _signed_area2,
     polygons_interior_overlap,
@@ -31,7 +31,7 @@ def reference_shrink(vs, delta):
         raise ValueError("shrink_convex takes quads only")
     pts = list(vs)
     area2 = _signed_area2(pts)
-    if abs(area2) <= ConvexQuad.DEGENERATE_AREA:
+    if abs(area2) <= DEGENERATE_AREA:
         return None
     if area2 < 0.0:
         pts = list(reversed(pts))
@@ -54,7 +54,7 @@ def reference_shrink(vs, delta):
         x = (a[2] * b[1] - b[2] * a[1]) / det
         y = (a[0] * b[2] - b[0] * a[2]) / det
         out.append((x, y))
-    if _signed_area2(out) <= ConvexQuad.DEGENERATE_AREA:
+    if _signed_area2(out) <= DEGENERATE_AREA:
         return None
     for i in range(4):
         if _orient(out[i - 2], out[i - 1], out[i]) <= 0:

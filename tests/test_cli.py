@@ -75,8 +75,9 @@ class TestBuild:
         assert run(["build", "-n", "2", "--theta", "20"]) == 2
         assert "n must be" in capsys.readouterr().err
 
-    def test_theta_zero_exits_2(self):
+    def test_theta_zero_exits_2(self, capsys):
         assert run(["build", "-n", "8", "--theta", "0"]) == 2
+        assert "planar_zone(n, 0)" in capsys.readouterr().err
 
     def test_numerically_flat_solid_exits_2(self, capsys):
         """At theta = 1e-300 rad the face normals are 0/0: convex must fail."""

@@ -11,10 +11,10 @@ from reference import reference_shrink
 
 from zonet import geom
 from zonet.geom import (
-    AngularIntervalSet,
-    ConvexQuad,
     circle_quad_arcs,
+    circle_table,
     covering_arc_of_angles,
+    merge_arcs,
     normalize_angle,
     polygons_interior_overlap,
     shortest_covering_arc,
@@ -26,43 +26,58 @@ from zonet.verify import OVERLAP_SLACK
 TWO_PI = 2.0 * math.pi
 
 
+def measure(arcs):
+    """Total length of merged arcs."""
+    return sum(e - s for s, e in arcs)
+
+
 class TestAngularIntervalSet:
+    """``merge_arcs``: the canonical union of a collection of arcs."""
+
     def test_single_interval_total(self):
-        s = AngularIntervalSet.from_intervals(((0.2, 0.9),))
-        assert s.measure == pytest.approx(0.7, abs=1e-15)
+        s = merge_arcs(((0.2, 0.9),))
+        assert measure(s) == pytest.approx(0.7, abs=1e-15)
 
     def test_merge_overlapping(self):
-        s = AngularIntervalSet.from_intervals(((0.0, 1.0), (0.5, 2.0)))
-        assert s.measure == pytest.approx(2.0, abs=1e-12)
-        assert len(s.intervals) == 1
+        s = merge_arcs(((0.0, 1.0), (0.5, 2.0)))
+        assert measure(s) == pytest.approx(2.0, abs=1e-12)
+        assert len(s) == 1
 
     def test_wraparound_merge(self):
         # two pieces meeting across the branch cut form one arc
-        s = AngularIntervalSet.from_intervals(((TWO_PI - 0.3, TWO_PI), (0.0, 0.4)))
-        assert s.measure == pytest.approx(0.7, abs=1e-12)
+        s = merge_arcs(((TWO_PI - 0.3, TWO_PI), (0.0, 0.4)))
+        assert measure(s) == pytest.approx(0.7, abs=1e-12)
         assert shortest_covering_arc(s) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty(self):
-        s = AngularIntervalSet.from_intervals(())
-        assert s.measure == 0.0
+        s = merge_arcs(())
+        assert s == ()
         assert shortest_covering_arc(s) is None
 
     def test_full_circle(self):
-        s = AngularIntervalSet.from_intervals(((0.0, TWO_PI),))
+        s = merge_arcs(((0.0, TWO_PI),))
         assert shortest_covering_arc(s) == pytest.approx(TWO_PI, abs=1e-12)
+
+    def test_arc_below_merge_eps_is_dropped(self):
+        assert merge_arcs(((0.1, 0.1 + 5e-13), (1.0, 2.0))) == ((1.0, 2.0),)
+
+    def test_one_wrap_swallows_two_arcs(self):
+        s = merge_arcs(((6.0, 7.0), (0.1, 0.3), (0.5, 0.6)))
+        assert s == ((6.0, 7.0),)
+        assert shortest_covering_arc(s) == 1.0
 
 
 class TestShortestCoveringArc:
     def test_two_antipodal_points_like_intervals(self):
         # tiny intervals at 0 and pi: the covering arc is pi plus the slack
         eps = 1e-6
-        s = AngularIntervalSet.from_intervals(((0.0, eps), (math.pi, math.pi + eps)))
+        s = merge_arcs(((0.0, eps), (math.pi, math.pi + eps)))
         assert shortest_covering_arc(s) == pytest.approx(math.pi + eps, abs=1e-12)
 
     def test_largest_gap_is_excluded(self):
         # intervals leaving gaps of 1.0, 2.0 and the rest: cover = 2*pi - max gap
         a = 0.0
-        s = AngularIntervalSet.from_intervals(((a, a + 0.5), (a + 1.5, a + 2.0), (a + 4.0, a + 4.1)))
+        s = merge_arcs(((a, a + 0.5), (a + 1.5, a + 2.0), (a + 4.0, a + 4.1)))
         gaps = [1.0, 2.0, TWO_PI - 4.1]
         assert shortest_covering_arc(s) == pytest.approx(TWO_PI - max(gaps), abs=1e-12)
 
@@ -89,38 +104,36 @@ class TestShortestCoveringArc:
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 
-def translated(q, center):
-    """``q`` moved by -center, so that circles about ``center`` sit about the origin."""
-    return ConvexQuad(tuple((x - center[0], y - center[1]) for x, y in q.vertices), q.degenerate)
+def translated(vs, center):
+    """The quad ``vs`` moved by -center, so that circles about ``center`` sit
+    about the origin."""
+    return tuple((x - center[0], y - center[1]) for x, y in vs)
 
 
 class TestCircleQuadArcs:
-    def quad(self):
-        return ConvexQuad.from_vertices(UNIT_SQUARE)
-
     def arcs(self, center, r):
-        return AngularIntervalSet.from_intervals(circle_quad_arcs(r, translated(self.quad(), center)))
+        return merge_arcs(circle_quad_arcs(r, circle_table(translated(UNIT_SQUARE, center))))
 
     def test_circle_missing_quad(self):
         arcs = self.arcs((5.0, 5.0), 1.0)
-        assert arcs.measure == 0.0
+        assert measure(arcs) == 0.0
 
     def test_circle_inside_quad(self):
         arcs = self.arcs((0.5, 0.5), 0.25)
-        assert arcs.measure == pytest.approx(TWO_PI, abs=1e-12)
+        assert measure(arcs) == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_quarter_circle_at_corner(self):
         # circle about the origin crossing the unit square: a quarter arc
         arcs = self.arcs((0.0, 0.0), 0.5)
-        assert arcs.measure == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert measure(arcs) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_hairline_gap_past_the_far_edge_is_kept(self):
         """C(r) bulges 1e-10 past the edge y = 1 near (0, 1): the midpoint of
         that gap is outside by 2e-10 in the edge's cross product, beyond
         CONTAIN_TOL, so the two arcs stay apart."""
-        quad = ConvexQuad.from_vertices(((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)))
+        table = circle_table(((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)))
         r = 1.0 + 1e-10
-        arcs = sorted(circle_quad_arcs(r, quad))
+        arcs = sorted(circle_quad_arcs(r, table))
         assert len(arcs) == 2
         # the crossings sit at pi/2 -+ asin(sqrt(r*r - 1) / r), about 1.4e-5
         gap = arcs[1][0] - arcs[0][1]
@@ -130,7 +143,7 @@ class TestCircleQuadArcs:
     def test_circle_just_past_the_farthest_vertex_misses(self):
         vs = ((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0))
         far = max(math.hypot(*v) for v in vs)
-        assert circle_quad_arcs(far + 1e-10, ConvexQuad.from_vertices(vs)) == ()
+        assert circle_quad_arcs(far + 1e-10, circle_table(vs)) == ()
 
     @given(
         st.floats(-1.5, 2.5),
@@ -149,7 +162,7 @@ class TestCircleQuadArcs:
             if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
                 inside += 1
         sampled = TWO_PI * inside / m
-        assert arcs.measure == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
+        assert measure(arcs) == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
 
 
 def _reference_segment_circle_params(p, q, r):
@@ -181,15 +194,19 @@ def _reference_contains(vs, p, tol=1e-12):
     return True
 
 
-def reference_circle_quad_arcs(center, r, q):
+def reference_circle_quad_arcs(center, r, vs):
     """The circle/quad kernel as it was before each quad cached its edge
-    table: it moves the quad by -center on every call and recomputes every
-    edge coefficient.  The cached kernel must return the same floats."""
+    table: it orients the quad ``vs`` CCW and moves it by -center on every
+    call and recomputes every edge coefficient.  The cached kernel must
+    return the same floats."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    if q.degenerate:
+    area2 = geom._signed_area2(vs)
+    if abs(area2) <= geom.DEGENERATE_AREA:
         return ()
-    vs = [(x - center[0], y - center[1]) for x, y in q.vertices]
+    if area2 < 0.0:
+        vs = vs[::-1]
+    vs = [(x - center[0], y - center[1]) for x, y in vs]
 
     crossings = []
     for i in range(4):
@@ -241,12 +258,10 @@ def circles_and_quads(draw):
     for t in angles:
         x, y = ax * math.cos(t), ay * math.sin(t)
         vs.append((px + c * x - s * y, py + s * x + c * y))
-    q = ConvexQuad.from_vertices(vs)
+    q = tuple(vs)
     center = (draw(f(-6.0, 6.0)), draw(f(-6.0, 6.0)))
     i = draw(st.integers(0, 3))
-    (x0, y0), (x1, y1) = (
-        (x - center[0], y - center[1]) for x, y in (q.vertices[i], q.vertices[(i + 1) % 4])
-    )
+    (x0, y0), (x1, y1) = translated((q[i], q[(i + 1) % 4]), center)
     mode = draw(st.sampled_from(("free", "vertex", "near-vertex", "tangent")))
     if mode == "vertex":
         r = math.hypot(x0, y0)
@@ -266,18 +281,27 @@ class TestCachedKernelMatchesReference:
     @settings(max_examples=400, deadline=None)
     def test_arcs_are_bit_identical(self, case):
         q, center, r = case
-        assert circle_quad_arcs(r, translated(q, center)) == reference_circle_quad_arcs(center, r, q)
+        table = circle_table(translated(q, center))
+        assert circle_quad_arcs(r, table) == reference_circle_quad_arcs(center, r, q)
 
     def test_every_edge_of_a_point_quad_is_dropped(self):
-        point = ConvexQuad(((1.0, 1.0),) * 4)
-        crossing, sides = point.circle_table
-        assert crossing == () and len(sides) == 4
-        assert circle_quad_arcs(1.0, point) == reference_circle_quad_arcs((0.0, 0.0), 1.0, point)
+        point = ((1.0, 1.0),) * 4
+        assert circle_table(point) is None
+        assert circle_quad_arcs(1.0, None) == reference_circle_quad_arcs((0.0, 0.0), 1.0, point)
+
+    def test_a_null_edge_is_dropped(self):
+        """A triangle with a doubled corner: three crossing edges, four sides."""
+        triangle = ((0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
+        crossing, sides = circle_table(triangle)
+        assert len(crossing) == 3 and len(sides) == 4
+        for r in (0.5, 1.0, 1.5, 2.0):
+            expected = reference_circle_quad_arcs((0.0, 0.0), r, triangle)
+            assert circle_quad_arcs(r, (crossing, sides)) == expected
 
     def test_degenerate_quad_gives_no_arc(self):
-        flat = ConvexQuad.from_vertices(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0)))
-        assert flat.degenerate
-        assert circle_quad_arcs(1.0, flat) == ()
+        flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
+        assert circle_table(flat) is None
+        assert circle_quad_arcs(1.0, None) == ()
 
 
 class TestShrinkConvex:

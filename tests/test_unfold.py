@@ -233,6 +233,14 @@ class TestThetaZero:
         )
         assert area < 1e-12
 
+    @pytest.mark.parametrize("n", range(3, 33))
+    def test_only_the_collapsed_rhomb_has_no_circle_table(self, n):
+        """At theta = 0 the collapsed central rhomb (n even) is the one
+        degenerate rhomb; at theta = 1e-12 rad no rhomb is degenerate."""
+        missing = [k for k, t in enumerate(planar_zone(n, 0.0).circle_tables) if t is None]
+        assert missing == ([n // 2 - 1] if n % 2 == 0 else [])
+        assert None not in planar_zone(n, 1e-12).circle_tables
+
     @pytest.mark.parametrize("n", [7, 10, 16, 17])
     def test_s_shape_point_symmetry(self, n):
         # the lower half is the upper half rotated by pi about the chain

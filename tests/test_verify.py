@@ -8,11 +8,11 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import reference_oracle, reference_shrink
-from test_geom import shrunk_bits
+from test_geom import _reference_contains, measure, shrunk_bits
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS
-from zonet.geom import AngularIntervalSet, polygons_interior_overlap, shortest_covering_arc
+from zonet.geom import merge_arcs, polygons_interior_overlap, shortest_covering_arc
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
@@ -56,9 +56,10 @@ class TestBetaOfR:
             for i in range(m):
                 a = 2 * math.pi * (i + 0.5) / m
                 p = (r * math.cos(a), r * math.sin(a))
-                if any(q.contains(p) for q in zone.rhombs):
+                # the developed rhombs run clockwise: reversed, they run CCW
+                if any(_reference_contains(q[::-1], p) for q in zone.corners):
                     inside += 1
-            assert arcs.measure == pytest.approx(
+            assert measure(arcs) == pytest.approx(
                 2 * math.pi * inside / m, abs=5 * 2 * math.pi / m
             )
 
@@ -80,10 +81,10 @@ def reference_profile(zone):
     out = []
     for r in sample_radii(zone):
         pieces = []
-        for (dmin, dmax), rhomb in zip(zone.radius_ranges, zone.rhombs):
+        for (dmin, dmax), quad in zip(zone.radius_ranges, zone.corners):
             if dmin - 1e-12 <= r <= dmax + 1e-12:
-                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, rhomb))
-        b = shortest_covering_arc(AngularIntervalSet.from_intervals(pieces))
+                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, quad))
+        b = shortest_covering_arc(merge_arcs(pieces))
         if b is not None:
             out.append((r, b))
     return out
