@@ -57,8 +57,8 @@ def write_obj(z, stream) -> None:
     # one %-template per block: the vertices, then the faces' 1-based ids
     coords = tuple(z.vertices.ravel().tolist())
     stream.write("v %.12f %.12f %.12f\n" * len(z.vertices) % coords)
-    ids = [i + 1 for f in z.faces for i in f.vertex_ids]
-    stream.write("f %d %d %d %d\n" * len(z.faces) % tuple(ids))
+    ids = tuple((z.face_ids + 1).ravel().tolist())
+    stream.write("f %d %d %d %d\n" * len(z.face_ids) % ids)
 
 
 def mesh_as_dict(z) -> dict:
@@ -149,7 +149,7 @@ def cmd_build(args) -> int:
     if not args.obj and not args.json:
         print(
             f"P({z.params.n}, {math.degrees(z.params.theta):g} deg): "
-            f"{len(z.vertices)} vertices, {len(z.faces)} faces, "
+            f"{len(z.vertices)} vertices, {len(z.face_ids)} faces, "
             f"{len(z.edge_set())} edges"
         )
     return 0

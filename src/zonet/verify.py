@@ -21,6 +21,7 @@ fallback and is independent of the beta machinery.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,10 +131,21 @@ def sample_radii(zone: PlanarZone) -> list[float]:
 
 
 def beta_profile(zone: PlanarZone) -> list[tuple[float, float]]:
-    """(r, beta(r)) over the event radii and their neighbours, skipping misses."""
+    """(r, beta(r)) over the event radii and their neighbours, skipping misses.
+
+    One sweep over the rhombs: each rhomb's slack-widened radius range is
+    bisected into the sorted radii, and its arcs go to those radii in rhomb
+    order, so every radius merges the pieces ``zone_arcs`` would give it.
+    """
+    radii = sample_radii(zone)
+    pieces: list[list[tuple[float, float]]] = [[] for _ in radii]
+    for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
+        first = bisect_left(radii, lo - RANGE_SLACK)
+        for k in range(first, bisect_right(radii, hi + RANGE_SLACK)):
+            pieces[k].extend(circle_quad_arcs(radii[k], table))
     out = []
-    for r in sample_radii(zone):
-        b = beta_of_r(zone, r)
+    for r, arcs in zip(radii, pieces):
+        b = shortest_covering_arc(merge_arcs(arcs))
         if b is not None:
             out.append((r, b))
     return out

@@ -8,7 +8,10 @@ elevation theta around the vertical pole axis:
 Vertices are sums of cyclically consecutive generator runs, identified by
 (start, length) so deduplication never keys on floats.  Faces are rhombs
 labeled (zone, step): zone i is the parallel class of generator u_i, and step k
-counts from the north pole (step 1 touches the north pole).
+counts from the north pole (step 1 touches the north pole).  The solid is held
+as arrays: ``vertex_keys`` (V, 2) and ``face_ids`` (n(n-1), 4), vertex ids in
+cycle order with row i the face (i // (n-1), i % (n-1) + 1); ``faces`` and
+``zones`` derive the labels from it on demand.
 
 build() refuses to return a solid unless validate() confirms five invariants,
 each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
@@ -18,8 +21,10 @@ about the midpoint of the poles) and convex (no vertex lies outside the plane
 of any face, within the larger HULL_TOL).  Both functions are array programs
 over all vertices and faces at once, with no hull or nearest-neighbour search:
 symmetry pairs each run with its complementary run by index arithmetic, and
-the convexity check tests every face plane against every vertex in fixed-size
-blocks of planes, so its memory stays at HULL_BLOCK rows whatever n is.
+the convexity check tests every face plane against every vertex as one
+homogeneous product per block of HULL_BLOCK planes, (block x 4) @ (4 x V)
+with a row of ones under the vertex coordinates, so its memory stays at
+HULL_BLOCK rows whatever n is.
 """
 
 from __future__ import annotations
@@ -104,9 +109,8 @@ class Zonohedron:
     params: Params
     generators: np.ndarray  # (n, 3)
     vertices: np.ndarray  # (n*(n-1)+2, 3)
-    vertex_keys: tuple[tuple[int, int], ...]  # (start, length) runs
-    faces: tuple[Face, ...]  # ordered by (zone, step)
-    zones: tuple[tuple[int, ...], ...]  # face indices per zone
+    vertex_keys: np.ndarray  # (n*(n-1)+2, 2) intp (start, length) runs
+    face_ids: np.ndarray  # (n*(n-1), 4) intp vertex ids in cycle order, by (zone, step)
 
     @property
     def south_pole(self) -> np.ndarray:
@@ -116,17 +120,32 @@ class Zonohedron:
     def north_pole(self) -> np.ndarray:
         return self.vertices[-1]
 
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        """Row i of ``face_ids`` as a Face of zone i // (n-1) and step
+        i % (n-1) + 1; built on each access, for readers of the labels."""
+        m = self.params.n - 1
+        ids = map(tuple, self.face_ids.tolist())
+        return tuple(Face(i // m, i % m + 1, v) for i, v in enumerate(ids))
+
+    @property
+    def zones(self) -> tuple[tuple[int, ...], ...]:
+        """Row indices of ``face_ids`` per zone: zone i is rows i*(n-1) .. i*(n-1) + n-2."""
+        n = self.params.n
+        return tuple(tuple(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(n))
+
     def face_points(self, face: Face) -> np.ndarray:
         return self.vertices[list(face.vertex_ids)]
 
     def edge_set(self) -> set[tuple[int, int]]:
-        edges: set[tuple[int, int]] = set()
-        for f in self.faces:
-            ids = f.vertex_ids
-            for i in range(4):
-                a, b = ids[i], ids[(i + 1) % 4]
-                edges.add((a, b) if a < b else (b, a))
-        return edges
+        return set(map(tuple, _edge_ends(self.face_ids).tolist()))
+
+
+def _edge_ends(face_ids: np.ndarray) -> np.ndarray:
+    """Each face side as a sorted (low, high) vertex id pair, shape (4F, 2)."""
+    ends = np.stack([face_ids, np.roll(face_ids, -1, axis=1)], axis=2).reshape(-1, 2)
+    ends.sort(axis=1)
+    return ends
 
 
 def _vertex_index(n: int, start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -153,7 +172,10 @@ def build(p: Params) -> Zonohedron:
     for length in range(1, n + 1):
         runs[length] = runs[length - 1] + gens[(starts + length - 1) % n]
     verts = np.concatenate([runs[0, :1], runs[1:n].reshape(-1, 3), runs[n, :1]])
-    keys = ((0, 0), *((s, L) for L in range(1, n) for s in range(n)), (0, n))
+    keys = np.zeros((len(verts), 2), dtype=np.intp)
+    keys[1:-1, 0] = np.tile(starts, n - 1)
+    keys[1:-1, 1] = np.repeat(np.arange(1, n), n)
+    keys[-1, 1] = n
 
     # face (zone, step): step k from the north pole is the run length L = n - k;
     # cycle order (a, b, d, c) = ((z+1, L-1), (z, L), (z, L+1), (z+1, L))
@@ -170,10 +192,7 @@ def build(p: Params) -> Zonohedron:
         ],
         axis=1,
     )
-    faces = tuple(map(Face, zone.tolist(), step.tolist(), map(tuple, ids.tolist())))
-    zones = tuple(tuple(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(n))
-
-    z = Zonohedron(p, gens, verts, keys, faces, zones)
+    z = Zonohedron(p, gens, verts, keys, ids)
     report = validate(z)
     if not report.passed:
         raise ConstructionError(f"construction invariant failed: {report.failures()}")
@@ -197,7 +216,7 @@ def validate(z: Zonohedron) -> ValidationReport:
     """Check edge lengths, planarity, closedness, symmetry, and convexity."""
     rep = ValidationReport()
     verts = z.vertices
-    ids = np.array([f.vertex_ids for f in z.faces], dtype=np.intp)
+    ids = z.face_ids
     pts = verts[ids]  # (F, 4, 3) in cycle order (a, b, d, c)
 
     sides = np.roll(pts, -1, axis=1) - pts
@@ -211,8 +230,7 @@ def validate(z: Zonohedron) -> ValidationReport:
     rep.checks["planar_faces"] = planarity <= VALIDATION_TOL
 
     # closed orientable surface: every undirected edge in exactly two faces
-    ends = np.stack([ids, np.roll(ids, -1, axis=1)], axis=2).reshape(-1, 2)
-    ends.sort(axis=1)
+    ends = _edge_ends(ids)
     _, multiplicity = np.unique(ends[:, 0] * len(verts) + ends[:, 1], return_counts=True)
     rep.checks["closed_mesh"] = bool(np.all(multiplicity == 2))
     rep.margins["edge_multiplicity_max"] = float(multiplicity.max())
@@ -220,7 +238,7 @@ def validate(z: Zonohedron) -> ValidationReport:
     # the mirror of run (s, L) is its complement, the run (s + L mod n, n - L)
     center = 0.5 * (z.north_pole + z.south_pole)
     n = z.params.n
-    start, length = np.array(z.vertex_keys).T
+    start, length = z.vertex_keys.T
     mirror = _vertex_index(n, (start + length) % n, n - length)
     sym = float(np.max(np.linalg.norm(verts + verts[mirror] - 2.0 * center, axis=1)))
     rep.margins["central_symmetry_residual"] = sym
@@ -246,18 +264,20 @@ HULL_BLOCK = 64  # planes per block: the largest temporary is HULL_BLOCK x verti
 
 
 def _max_plane_violation(planes: np.ndarray, verts: np.ndarray) -> float:
-    """max over planes and vertices of normal . v + offset, in blocks of planes.
+    """max over planes (normal, offset) and vertices v of normal . v + offset.
 
-    NaN when any plane value is NaN (a face too flat to have a normal), so
-    that ``convex`` fails rather than passing on the other planes.
+    Each block of HULL_BLOCK planes is one product with the homogeneous
+    vertex coordinates (v, 1).  NaN when any plane value is NaN (a face too
+    flat to have a normal), so that ``convex`` fails rather than passing on
+    the other planes.
     """
     buf = np.empty((min(HULL_BLOCK, len(planes)), len(verts)))
-    coords = np.ascontiguousarray(verts.T)
+    coords = np.ones((4, len(verts)))
+    coords[:3] = verts.T
     worst = -np.inf
     for lo in range(0, len(planes), HULL_BLOCK):
         block = planes[lo : lo + HULL_BLOCK]
         out = buf[: len(block)]
-        np.matmul(block[:, :3], coords, out=out)
-        out += block[:, 3:4]
+        np.matmul(block, coords, out=out)
         worst = np.maximum(worst, out.max())  # keeps a NaN, unlike max()
     return float(worst)

@@ -11,6 +11,7 @@ import pytest
 from zonet import cli, verify
 from zonet.cli import main, parse_theta
 from zonet.verify import CheckResult, VerificationReport, run_verification
+from zonet.zonohedron import Zonohedron
 
 
 def run(argv):
@@ -104,6 +105,32 @@ class TestBuild:
         out = tmp_path / "mesh"
         assert run(["build", *argv, str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _no_face_labels(monkeypatch):
+        def refuse(self):
+            raise AssertionError("the build path read the face labels")
+
+        monkeypatch.setattr(Zonohedron, "faces", property(refuse))
+
+    def test_obj_reads_face_ids_only(self, tmp_path, monkeypatch):
+        """The OBJ writer and validate never build the labeled Face tuple."""
+        self._no_face_labels(monkeypatch)
+        out = tmp_path / "mesh"
+        assert run(["build", "-n", "16", "--theta", "20", "--obj", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a6ae1b48f62d6a646e18afe60a5c3bf045fda569017bb9ee013e036cdb8fc62f"
+        )
+
+    @pytest.mark.parametrize("n", (3, 8, 40))
+    def test_summary_line(self, capsys, monkeypatch, n):
+        """With no output flag: V = n(n-1) + 2, F = n(n-1), E = 2n(n-1)."""
+        self._no_face_labels(monkeypatch)
+        assert run(["build", "-n", str(n), "--theta", "20"]) == 0
+        f = n * (n - 1)
+        assert capsys.readouterr().out == (
+            f"P({n}, 20 deg): {f + 2} vertices, {f} faces, {2 * f} edges\n"
+        )
 
 
 class TestNet:

@@ -11,7 +11,7 @@ from reference import reference_oracle, reference_shrink
 from test_geom import _reference_contains, measure, shrunk_bits
 
 from zonet import verify
-from zonet.cli import DEFAULT_THETAS
+from zonet.cli import DEFAULT_THETAS, parse_theta
 from zonet.geom import merge_arcs, polygons_interior_overlap, shortest_covering_arc
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
@@ -102,6 +102,18 @@ class TestProfileMatchesReference:
         for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
             zone = planar_zone(n, math.radians(theta_deg))
             assert beta_profile(zone) == reference_profile(zone), theta_deg
+
+
+class TestProfileSweep:
+    """The one-sweep profile gives every radius the arcs ``beta_of_r`` gives
+    it, bit for bit."""
+
+    @pytest.mark.parametrize("theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-12rad"))
+    def test_sweep_equals_beta_of_r_at_every_radius(self, theta):
+        for n in range(3, 49):
+            zone = planar_zone(n, parse_theta(theta))
+            expected = [(r, b) for r in sample_radii(zone) if (b := beta_of_r(zone, r)) is not None]
+            assert beta_profile(zone) == expected, n
 
 
 class TestOneProfilePerCell:

@@ -206,7 +206,12 @@ class TestLoopReference:
         z = build(p)
         verts, faces = _loop_reference(p)
         assert np.array_equal(z.vertices, verts)
+        assert z.face_ids.dtype == np.intp
+        assert z.face_ids.tolist() == [list(ids) for _, _, ids in faces]
         assert [(f.zone, f.step, f.vertex_ids) for f in z.faces] == faces
+        assert z.zones == tuple(
+            tuple(i for i, (zone, _, _) in enumerate(faces) if zone == k) for k in range(n)
+        )
 
 
 class TestValidationFaults:
@@ -230,7 +235,7 @@ class TestValidationFaults:
         assert rep.margins["max_face_nonplanarity"] > 0.01
 
     def test_duplicated_face_fails_closed_mesh(self, z):
-        rep = validate(dataclasses.replace(z, faces=z.faces + (z.faces[5],)))
+        rep = validate(dataclasses.replace(z, face_ids=np.vstack([z.face_ids, z.face_ids[5:6]])))
         assert rep.failures() == ["closed_mesh"]
         assert rep.margins["edge_multiplicity_max"] == 3.0
 
@@ -260,6 +265,19 @@ class TestValidationFaults:
         rep = validate(dented)
         assert not rep.checks["convex"]
         assert rep.margins["max_face_plane_violation"] > 0.2
+
+    def test_dent_past_the_first_block_fails_convex_at_n40(self):
+        """A 10% dent at P(40, 37.3 deg) can only tilt planes of the faces
+        around it, which all lie past the first HULL_BLOCK planes."""
+        z = build(Params(40, math.radians(37.3)))
+        i = 1 + 19 * 40 + 20  # the run (start 20, length 20)
+        assert z.vertex_keys[i].tolist() == [20, 20]
+        around = np.flatnonzero((z.face_ids == i).any(axis=1))
+        assert len(around) == 4 and around.min() >= HULL_BLOCK
+        centre = 0.5 * (z.north_pole + z.south_pole)
+        rep = validate(self._with_vertex(z, i, z.vertices[i] + 0.1 * (centre - z.vertices[i])))
+        assert not rep.checks["convex"]
+        assert rep.margins["max_face_plane_violation"] > 0.1
 
     @pytest.mark.parametrize("worst_facet", (0, -1))
     def test_blocked_hull_violation_equals_full_product(self, worst_facet):
