@@ -173,8 +173,3 @@ def constancy_deviation(n: float, radii: int = 50, dps: int = 40) -> float:
         for i in range(radii)
     ]
     return max(values) - min(values)
-
-
-def ratio_curve(ns) -> list[tuple[float, float]]:
-    """(n, beta/alpha) samples of the ratio plot."""
-    return [(float(n), beta_alpha_ratio(float(n))) for n in ns]

@@ -36,10 +36,6 @@ class PlanarZone:
     alpha: float
     corners: tuple[tuple[Point2, Point2, Point2, Point2], ...]
 
-    @property
-    def o(self) -> Point2:
-        return self.corners[0][0]
-
     @cached_property
     def array(self) -> np.ndarray:
         """``corners`` as one (n - 1, 4, 2) float array."""
@@ -92,22 +88,22 @@ class PlanarZone:
             lower = tuple(range(n // 2, n - 1))
         return upper, lower, flat
 
-    def rotated(self, angle: float, about: Point2 = (0.0, 0.0)) -> "PlanarZone":
-        quads = _rotate(self.array, math.cos(angle), math.sin(angle), about)
+    def rotated(self, angle: float) -> "PlanarZone":
+        """The zone rotated about o by ``angle``."""
+        quads = _rotate(self.array, math.cos(angle), math.sin(angle))
         return PlanarZone(self.n, self.theta, self.alpha, _as_tuples(quads))
 
 
-def _rotate(pts: np.ndarray, c, s, about: Point2 = (0.0, 0.0)) -> np.ndarray:
-    """Points ``pts[..., 0:2]`` rotated about ``about`` by the angle with
+def _rotate(pts: np.ndarray, c, s) -> np.ndarray:
+    """Points ``pts[..., 0:2]`` rotated about the origin by the angle with
     cosine ``c`` and sine ``s``; arrays of ``c`` and ``s`` broadcast against
-    ``pts[..., 0]``.  Each coordinate is ``(ox + c*x) - s*y`` or
-    ``(oy + s*x) + c*y`` on x = px - ox, y = py - oy, in that float order,
-    whether c and s are scalars or arrays.
+    ``pts[..., 0]``.  Each coordinate is ``(0.0 + c*x) - s*y`` or
+    ``(0.0 + s*x) + c*y``, in that float order, whether c and s are scalars
+    or arrays.  The leading 0.0 turns a -0.0 product into +0.0, so no
+    coordinate comes out as -0.0.
     """
-    ox, oy = about
-    x = pts[..., 0] - ox
-    y = pts[..., 1] - oy
-    return np.stack(((ox + c * x) - s * y, (oy + s * x) + c * y), axis=-1)
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack(((0.0 + c * x) - s * y, (0.0 + s * x) + c * y), axis=-1)
 
 
 def _as_tuples(quads: np.ndarray) -> tuple[tuple[Point2, Point2, Point2, Point2], ...]:

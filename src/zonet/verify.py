@@ -42,18 +42,8 @@ BETA_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 EVENT_EPS = 1e-9
 ANGLE_TOL = 1e-10
-#: slack on each rhomb's [min, max] distance from o when choosing the rhombs
-#: a circle C(r) can meet
-RANGE_SLACK = 1e-12
-#: points this close to o are o itself: they give no event radius, no sample
-#: radius and no direction
-MIN_RADIUS = 1e-12
 #: event radii closer than this are one event computed two ways
 EVENT_MERGE = 1e-12
-#: an edge's perpendicular foot from o gives a grazing event radius only when
-#: its segment parameter lies this far inside (0, 1); nearer an end, the
-#: vertex radius is the event
-FOOT_T_MARGIN = 1e-9
 #: a candidate diagonal whose |dy| is below this is horizontal, and its
 #: bisector, the vertical line x = mx, passes through o when |mx| is below
 #: ``ON_AXIS_X``
@@ -76,7 +66,7 @@ def zone_arcs(zone: PlanarZone, r: float) -> Arcs:
     """The merged arcs of C(r) inside the zone's rhombs."""
     pieces = []
     for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
-        if lo - RANGE_SLACK <= r <= hi + RANGE_SLACK:
+        if lo <= r <= hi:
             pieces.extend(circle_quad_arcs(r, table))
     return merge_arcs(pieces)
 
@@ -91,8 +81,9 @@ def critical_radii(zone: PlanarZone) -> list[float]:
     events: set[float] = set()
     for quad in zone.corners:
         for p in quad:
+            # o itself, the corner of R_1 at (0, 0), is no event
             d = math.hypot(*p)
-            if d > MIN_RADIUS:
+            if d > 0.0:
                 events.add(d)
         for p, q in _quad_edges(quad):
             # perpendicular foot strictly inside the segment: a grazing radius
@@ -101,7 +92,7 @@ def critical_radii(zone: PlanarZone) -> list[float]:
             if dd < NULL_EDGE_SQ:
                 continue
             t = -(p[0] * dx + p[1] * dy) / dd
-            if FOOT_T_MARGIN < t < 1.0 - FOOT_T_MARGIN:
+            if 0.0 < t < 1.0:
                 events.add(math.hypot(p[0] + t * dx, p[1] + t * dy))
     # merge float-noise duplicates (the same vertex radius computed two ways)
     out: list[float] = []
@@ -125,7 +116,7 @@ def sample_radii(zone: PlanarZone) -> list[float]:
     rs: set[float] = set()
     for e in critical_radii(zone):
         for r in (e - EVENT_EPS, e, e + EVENT_EPS):
-            if r > MIN_RADIUS:
+            if r > 0.0:
                 rs.add(r)
     return sorted(rs)
 
@@ -133,15 +124,14 @@ def sample_radii(zone: PlanarZone) -> list[float]:
 def beta_profile(zone: PlanarZone) -> list[tuple[float, float]]:
     """(r, beta(r)) over the event radii and their neighbours, skipping misses.
 
-    One sweep over the rhombs: each rhomb's slack-widened radius range is
-    bisected into the sorted radii, and its arcs go to those radii in rhomb
-    order, so every radius merges the pieces ``zone_arcs`` would give it.
+    One sweep over the rhombs: each rhomb's radius range is bisected into
+    the sorted radii, and its arcs go to those radii in rhomb order, so
+    every radius merges the pieces ``zone_arcs`` would give it.
     """
     radii = sample_radii(zone)
     pieces: list[list[tuple[float, float]]] = [[] for _ in radii]
     for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
-        first = bisect_left(radii, lo - RANGE_SLACK)
-        for k in range(first, bisect_right(radii, hi + RANGE_SLACK)):
+        for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
             pieces[k].extend(circle_quad_arcs(radii[k], table))
     out = []
     for r, arcs in zip(radii, pieces):
@@ -164,7 +154,7 @@ def rhomb_subtended_angles(zone: PlanarZone) -> list[float]:
     """
     out = []
     for quad in zone.corners:
-        angles = [math.atan2(p[1], p[0]) for p in quad if math.hypot(*p) > MIN_RADIUS]
+        angles = [math.atan2(p[1], p[0]) for p in quad if p != (0.0, 0.0)]
         arc = covering_arc_of_angles(angles)
         assert arc is not None
         out.append(arc)
@@ -457,8 +447,7 @@ def run_verification(n: int, theta: float, check_overlap: bool = True) -> Verifi
         # beta is monotone up to the next event, so that event's lower
         # neighbour bounds the interval just above the transition.  Past
         # r_transition + 2 EVENT_EPS every upper rhomb and the central one
-        # lie more than RANGE_SLACK out of range, so C(r) meets the lower
-        # half alone
+        # lie out of range, so C(r) meets the lower half alone
         r_transition = max(ranges[i][1] for i in range(lower[0]))
         lmargin = min(
             alpha / 2.0 - b for r, b in profile if r > r_transition + 2.0 * EVENT_EPS

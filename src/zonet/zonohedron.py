@@ -107,7 +107,6 @@ class Face:
 @dataclass(frozen=True)
 class Zonohedron:
     params: Params
-    generators: np.ndarray  # (n, 3)
     vertices: np.ndarray  # (n*(n-1)+2, 3)
     vertex_keys: np.ndarray  # (n*(n-1)+2, 2) intp (start, length) runs
     face_ids: np.ndarray  # (n*(n-1), 4) intp vertex ids in cycle order, by (zone, step)
@@ -133,9 +132,6 @@ class Zonohedron:
         """Row indices of ``face_ids`` per zone: zone i is rows i*(n-1) .. i*(n-1) + n-2."""
         n = self.params.n
         return tuple(tuple(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(n))
-
-    def face_points(self, face: Face) -> np.ndarray:
-        return self.vertices[list(face.vertex_ids)]
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(map(tuple, _edge_ends(self.face_ids).tolist()))
@@ -192,7 +188,7 @@ def build(p: Params) -> Zonohedron:
         ],
         axis=1,
     )
-    z = Zonohedron(p, gens, verts, keys, ids)
+    z = Zonohedron(p, verts, keys, ids)
     report = validate(z)
     if not report.passed:
         raise ConstructionError(f"construction invariant failed: {report.failures()}")

@@ -216,8 +216,8 @@ def test_09_structural_counts_and_cube():
             float(
                 np.linalg.norm(
                     np.cross(
-                        z.face_points(f)[1] - z.face_points(f)[0],
-                        z.face_points(f)[3] - z.face_points(f)[0],
+                        z.vertices[f.vertex_ids[1]] - z.vertices[f.vertex_ids[0]],
+                        z.vertices[f.vertex_ids[3]] - z.vertices[f.vertex_ids[0]],
                     )
                 )
             )

@@ -325,6 +325,14 @@ class TestShrinkConvex:
         flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
         assert shrink_convex(flat, 1e-9) is None
 
+    def test_straight_corner_returns_none(self):
+        """A quad of area 1 whose corner (1, 0) lies on the straight line
+        from (0, 0) to (2, 0): the two edge lines there are parallel, so the
+        shrunk corner does not exist.  Without ``SHRINK_MIN_DET`` the shrink
+        divides by their zero determinant and the NaN corner reaches
+        ``_orient_exact``."""
+        assert shrink_convex([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], 0.01) is None
+
     @given(st.floats(0.3, 3.0), st.floats(0.2, 1.3), st.floats(-3.0, 3.0))
     @settings(max_examples=100, deadline=None)
     def test_shrunk_quad_stays_inside(self, w, skew, ang):

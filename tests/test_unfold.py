@@ -77,7 +77,8 @@ def develop_zone(z: Zonohedron, zone_index: int = 0) -> PlanarZone:
     a0, b0, d0, c0 = faces[0].vertex_ids
     pos[d0] = (0.0, 0.0)
     pos[c0] = (1.0, 0.0)
-    _place_face(z.face_points(faces[0]), (c0, d0), pos, faces[0].vertex_ids, _side_below())
+    ids0 = faces[0].vertex_ids
+    _place_face(z.vertices[list(ids0)], (c0, d0), pos, ids0, _side_below())
 
     corners: list[tuple] = []
     corners.append((pos[d0], pos[c0], pos[a0], pos[b0]))
@@ -95,7 +96,11 @@ def develop_zone(z: Zonohedron, zone_index: int = 0) -> PlanarZone:
         far = pos[prev_ids[2]]
         prev_side = u[0] * (far[1] - p[1]) - u[1] * (far[0] - p[0])
         _place_face(
-            z.face_points(face), (c, d), pos, face.vertex_ids, -math.copysign(1.0, prev_side)
+            z.vertices[list(face.vertex_ids)],
+            (c, d),
+            pos,
+            face.vertex_ids,
+            -math.copysign(1.0, prev_side),
         )
         corners.append((pos[d], pos[c], pos[a], pos[b]))
         prev_ids = face.vertex_ids
@@ -134,7 +139,7 @@ class TestStandardOrientation:
     )
     def test_origin_and_first_edge(self, n, theta_deg):
         zone = planar_zone(n, math.radians(theta_deg))
-        assert zone.o == (0.0, 0.0)
+        assert zone.corners[0][0] == (0.0, 0.0)
         assert zone.corners[0][1] == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_zone_lies_in_lower_half_plane(self):

@@ -12,7 +12,12 @@ from test_geom import _reference_contains, measure, shrunk_bits
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS, parse_theta
-from zonet.geom import merge_arcs, polygons_interior_overlap, shortest_covering_arc
+from zonet.geom import (
+    circle_quad_arcs,
+    merge_arcs,
+    polygons_interior_overlap,
+    shortest_covering_arc,
+)
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
@@ -114,6 +119,22 @@ class TestProfileSweep:
             zone = planar_zone(n, parse_theta(theta))
             expected = [(r, b) for r in sample_radii(zone) if (b := beta_of_r(zone, r)) is not None]
             assert beta_profile(zone) == expected, n
+
+
+class TestExactRangeFilter:
+    """Choosing the rhombs C(r) can meet by their exact [min, max] distance
+    from o drops no arc: at a radius at an end of a rhomb's range, C(r)
+    only touches the rhomb, and a touch adds no length to the covering arc."""
+
+    @pytest.mark.parametrize(
+        "theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-6rad", "1e-12rad")
+    )
+    def test_beta_equals_beta_over_every_rhomb(self, theta):
+        for n in range(3, 17):
+            zone = planar_zone(n, parse_theta(theta))
+            for r in sample_radii(zone):
+                arcs = [a for table in zone.circle_tables for a in circle_quad_arcs(r, table)]
+                assert beta_of_r(zone, r) == shortest_covering_arc(merge_arcs(arcs)), (n, r)
 
 
 class TestOneProfilePerCell:
@@ -253,6 +274,17 @@ class TestDiagonalPerpendicular:
         # the micron-scale displacement regime appears near theta = 1 degree
         off = diagonal_perpendicular_test(planar_zone(16, math.radians(1.0)))[0]
         assert -1e-5 < off < -1e-7
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (16, 6)])
+    def test_near_horizontal_diagonal_reads_unresolved(self, n, k):
+        """At theta = 1e-16 rad the collapsed central rhomb's candidate
+        diagonal is horizontal up to rounding: dy is -2.2e-16 at n = 6 and
+        exactly 0 at n = 16, with |mx| below 4e-16.  Its bisector is too near
+        the vertical line through o to give a sign, so the offset reads 0.0,
+        which fails the strict rule.  Without ``HORIZONTAL_DY`` the formula
+        reads +1.768 at n = 6, where the true offset is -1.732, and divides
+        by zero at n = 16; without ``ON_AXIS_X`` both read -inf, a pass."""
+        assert diagonal_perpendicular_test(planar_zone(n, 1e-16))[k] == 0.0
 
     def test_upper_half_offsets_vanish_as_theta_to_zero(self):
         zone = planar_zone(16, 1e-6)
