@@ -48,27 +48,31 @@ class PlanarZone:
         return tuple(map(circle_table, self.corners))
 
     @cached_property
+    def rhomb_radii(self) -> tuple[tuple[float, ...], ...]:
+        """Per rhomb: the distances from o of its four corners, in corner
+        order (0.0 at o itself), then of the perpendicular foot from o on
+        each edge that is not null, where the foot falls strictly inside
+        the edge.  C(r) passes a corner or grazes an edge of the rhomb only
+        at these radii."""
+        out = []
+        for quad in self.corners:
+            radii = [math.hypot(x, y) for x, y in quad]
+            for (px, py), (qx, qy) in zip(quad, quad[1:] + quad[:1]):
+                dx, dy = qx - px, qy - py
+                dd = dx * dx + dy * dy
+                if dd < NULL_EDGE_SQ:
+                    continue
+                t = -(px * dx + py * dy) / dd
+                if 0.0 < t < 1.0:
+                    radii.append(math.hypot(px + t * dx, py + t * dy))
+            out.append(tuple(radii))
+        return tuple(out)
+
+    @cached_property
     def radius_ranges(self) -> tuple[tuple[float, float], ...]:
-        """Per-rhomb [min, max] distance from o; C(r) can only meet in-range rhombs."""
-        return tuple(
-            (
-                min(_segment_distance(quad[i - 1], quad[i]) for i in range(4)),
-                max(math.hypot(*p) for p in quad),
-            )
-            for quad in self.corners
-        )
-
-    @property
-    def left_chain(self) -> tuple[Point2, ...]:
-        chain = [c[0] for c in self.corners]
-        chain.append(self.corners[-1][3])
-        return tuple(chain)
-
-    @property
-    def right_chain(self) -> tuple[Point2, ...]:
-        chain = [c[1] for c in self.corners]
-        chain.append(self.corners[-1][2])
-        return tuple(chain)
+        """Per-rhomb [min, max] distance from o, read off ``rhomb_radii``;
+        C(r) can only meet in-range rhombs."""
+        return tuple((min(radii), max(radii[:4])) for radii in self.rhomb_radii)
 
     def half_split(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
         """(upper, lower, flat) rhomb indices (0-based); flat exists for n even.
@@ -108,17 +112,6 @@ def _rotate(pts: np.ndarray, c, s) -> np.ndarray:
 
 def _as_tuples(quads: np.ndarray) -> tuple[tuple[Point2, Point2, Point2, Point2], ...]:
     return tuple(tuple(map(tuple, quad)) for quad in quads.tolist())  # type: ignore[misc]
-
-
-def _segment_distance(p: Point2, q: Point2) -> float:
-    """Distance from the origin to segment pq."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    dd = dx * dx + dy * dy
-    if dd < NULL_EDGE_SQ:
-        return math.hypot(*p)
-    t = -(p[0] * dx + p[1] * dy) / dd
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] + t * dx, p[1] + t * dy)
 
 
 class Net:

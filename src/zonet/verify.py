@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
-    NULL_EDGE_SQ,
-    Arcs,
     circle_quad_arcs,
     covering_arc_of_angles,
     merge_arcs,
@@ -58,42 +56,15 @@ CORNER_RADIUS_OFFSET = 1e-10
 # beta(r) and its profile over all radii
 
 
-def _quad_edges(quad):
-    return [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
-
-
-def zone_arcs(zone: PlanarZone, r: float) -> Arcs:
-    """The merged arcs of C(r) inside the zone's rhombs."""
-    pieces = []
-    for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
-        if lo <= r <= hi:
-            pieces.extend(circle_quad_arcs(r, table))
-    return merge_arcs(pieces)
-
-
 def beta_of_r(zone: PlanarZone, r: float) -> float | None:
     """Covering-arc angle of C(r) within the zone; None if C(r) misses it."""
-    return shortest_covering_arc(zone_arcs(zone, r))
+    return _betas(zone, [r])[0]
 
 
 def critical_radii(zone: PlanarZone) -> list[float]:
-    """Radii where C(r) passes through a vertex or grazes an edge of the zone."""
-    events: set[float] = set()
-    for quad in zone.corners:
-        for p in quad:
-            # o itself, the corner of R_1 at (0, 0), is no event
-            d = math.hypot(*p)
-            if d > 0.0:
-                events.add(d)
-        for p, q in _quad_edges(quad):
-            # perpendicular foot strictly inside the segment: a grazing radius
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            dd = dx * dx + dy * dy
-            if dd < NULL_EDGE_SQ:
-                continue
-            t = -(p[0] * dx + p[1] * dy) / dd
-            if 0.0 < t < 1.0:
-                events.add(math.hypot(p[0] + t * dx, p[1] + t * dy))
+    """Radii where C(r) passes through a vertex or grazes an edge of the zone:
+    every ``rhomb_radii`` entry but o's own 0.0."""
+    events = {d for radii in zone.rhomb_radii for d in radii if d > 0.0}
     # merge float-noise duplicates (the same vertex radius computed two ways)
     out: list[float] = []
     for e in sorted(events):
@@ -122,23 +93,22 @@ def sample_radii(zone: PlanarZone) -> list[float]:
 
 
 def beta_profile(zone: PlanarZone) -> list[tuple[float, float]]:
-    """(r, beta(r)) over the event radii and their neighbours, skipping misses.
+    """(r, beta(r)) over the event radii and their neighbours, skipping misses."""
+    radii = sample_radii(zone)
+    return [(r, b) for r, b in zip(radii, _betas(zone, radii)) if b is not None]
+
+
+def _betas(zone: PlanarZone, radii: list[float]) -> list[float | None]:
+    """beta at each of the sorted ``radii``, None where C(r) misses the zone.
 
     One sweep over the rhombs: each rhomb's radius range is bisected into
-    the sorted radii, and its arcs go to those radii in rhomb order, so
-    every radius merges the pieces ``zone_arcs`` would give it.
+    the radii, and its arcs go to the radii in that range in rhomb order.
     """
-    radii = sample_radii(zone)
     pieces: list[list[tuple[float, float]]] = [[] for _ in radii]
     for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
         for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
             pieces[k].extend(circle_quad_arcs(radii[k], table))
-    out = []
-    for r, arcs in zip(radii, pieces):
-        b = shortest_covering_arc(merge_arcs(arcs))
-        if b is not None:
-            out.append((r, b))
-    return out
+    return [shortest_covering_arc(merge_arcs(arcs)) for arcs in pieces]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Vertices are sums of cyclically consecutive generator runs, identified by
 labeled (zone, step): zone i is the parallel class of generator u_i, and step k
 counts from the north pole (step 1 touches the north pole).  The solid is held
 as arrays: ``vertex_keys`` (V, 2) and ``face_ids`` (n(n-1), 4), vertex ids in
-cycle order with row i the face (i // (n-1), i % (n-1) + 1); ``faces`` and
-``zones`` derive the labels from it on demand.
+cycle order with row i the face (i // (n-1), i % (n-1) + 1); ``faces``
+derives the labels from it on demand.
 
 build() refuses to return a solid unless validate() confirms five invariants,
 each within VALIDATION_TOL: unit_edges (every rhomb side has length 1),
@@ -126,12 +126,6 @@ class Zonohedron:
         m = self.params.n - 1
         ids = map(tuple, self.face_ids.tolist())
         return tuple(Face(i // m, i % m + 1, v) for i, v in enumerate(ids))
-
-    @property
-    def zones(self) -> tuple[tuple[int, ...], ...]:
-        """Row indices of ``face_ids`` per zone: zone i is rows i*(n-1) .. i*(n-1) + n-2."""
-        n = self.params.n
-        return tuple(tuple(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(n))
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(map(tuple, _edge_ends(self.face_ids).tolist()))

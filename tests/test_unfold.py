@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonet.cli import DEFAULT_THETAS
+from zonet.cli import DEFAULT_THETAS, parse_theta
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.zonohedron import Params, Zonohedron, build
 
@@ -69,7 +70,7 @@ def _place_face(
 def develop_zone(z: Zonohedron, zone_index: int = 0) -> PlanarZone:
     """Develop one zone of a built zonohedron (theta > 0) into the plane."""
     n = z.params.n
-    faces = [z.faces[i] for i in z.zones[zone_index]]
+    faces = [z.faces[i] for i in range(zone_index * (n - 1), (zone_index + 1) * (n - 1))]
     pos: dict[int, tuple[float, float]] = {}
 
     # R_1 in cycle order (a, b, d, c): d is the north pole, edge (c, d) is the
@@ -148,7 +149,9 @@ class TestStandardOrientation:
 
     def test_chains_are_unit_translates(self):
         zone = planar_zone(16, math.radians(20))
-        for left, right in zip(zone.left_chain, zone.right_chain):
+        left_chain = [q[0] for q in zone.corners] + [zone.corners[-1][3]]
+        right_chain = [q[1] for q in zone.corners] + [zone.corners[-1][2]]
+        for left, right in zip(left_chain, right_chain):
             assert right[0] - left[0] == pytest.approx(1.0, abs=1e-10)
             assert right[1] - left[1] == pytest.approx(0.0, abs=1e-10)
 
@@ -224,7 +227,8 @@ class TestThetaZero:
         rc = 1.0 / (2.0 * math.sin(math.pi / n))
         # the right chain of the upper half lies on a circle through o
         center = (0.5, -math.sqrt(rc * rc - 0.25))
-        for p in zone.right_chain[: n // 2 + 1]:
+        right_chain = [q[1] for q in zone.corners] + [zone.corners[-1][2]]
+        for p in right_chain[: n // 2 + 1]:
             assert math.dist(p, center) == pytest.approx(rc, abs=1e-10)
         assert math.hypot(*center) == pytest.approx(rc, abs=1e-12)
 
@@ -250,7 +254,8 @@ class TestThetaZero:
     def test_s_shape_point_symmetry(self, n):
         # the lower half is the upper half rotated by pi about the chain
         # midpoint: chain[k] + chain[n-k] is constant along the chain
-        chain = planar_zone(n, 0.0).left_chain
+        zone = planar_zone(n, 0.0)
+        chain = [q[0] for q in zone.corners] + [zone.corners[-1][3]]
         last = len(chain) - 1
         sx, sy = chain[0][0] + chain[last][0], chain[0][1] + chain[last][1]
         for k in range(last + 1):
@@ -292,6 +297,43 @@ class TestHalfSplit:
         u, l, f = zone.half_split()
         everything = sorted((*u, *l, *(() if f is None else (f,))))
         assert everything == list(range(n - 1))
+
+
+def exact_radius_range(quad):
+    """[min, max] distance from o, at mpmath's working precision, to the
+    rhomb with these float corners: the nearest point of its four edges and
+    its farthest corner."""
+    pts = [(mp.mpf(x), mp.mpf(y)) for x, y in quad]
+
+    def segment_distance(p, q):
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        dd = dx * dx + dy * dy
+        t = 0 if dd == 0 else min(1, max(0, -(p[0] * dx + p[1] * dy) / dd))
+        return mp.hypot(p[0] + t * dx, p[1] + t * dy)
+
+    lo = min(segment_distance(pts[i - 1], pts[i]) for i in range(4))
+    return lo, max(mp.hypot(*p) for p in pts)
+
+
+class TestRadiusRanges:
+    @pytest.mark.parametrize(
+        "ns,theta",
+        [
+            *(
+                pytest.param(range(3, 17), t, id=f"n3..16-{t}")
+                for t in (*DEFAULT_THETAS.split(","), "37.3", "1e-6rad", "1e-12rad")
+            ),
+            pytest.param((32,), "20", id="n32-20"),
+        ],
+    )
+    def test_within_one_ulp_of_exact_distances(self, ns, theta):
+        for n in ns:
+            zone = planar_zone(n, parse_theta(theta))
+            for quad, (lo, hi) in zip(zone.corners, zone.radius_ranges):
+                with mp.workdps(50):
+                    exact_lo, exact_hi = exact_radius_range(quad)
+                    assert abs(lo - exact_lo) <= math.ulp(hi), (n, quad)
+                    assert abs(hi - exact_hi) <= math.ulp(hi), (n, quad)
 
 
 class TestNet:

@@ -29,7 +29,6 @@ from zonet.verify import (
     rhomb_subtended_angles,
     run_verification,
     sample_radii,
-    zone_arcs,
 )
 
 DEG = math.degrees
@@ -55,7 +54,7 @@ class TestBetaOfR:
         """Event-driven arcs agree with brute-force point membership."""
         zone = planar_zone(10, math.radians(35))
         for r in (0.5, 1.7, 3.1):
-            arcs = zone_arcs(zone, r)
+            arcs = arcs_over_every_rhomb(zone, r)
             m = 20000
             inside = 0
             for i in range(m):
@@ -75,6 +74,12 @@ class TestBetaOfR:
         assert rs[0] < events[0]  # the interval (0, first event) is sampled
         for a, b in zip(events, events[1:]):
             assert any(a < r < b for r in rs)
+
+
+def arcs_over_every_rhomb(zone, r):
+    """The merged arcs of C(r) inside the zone, from every rhomb's
+    ``circle_table`` with no radius-range filter."""
+    return merge_arcs([a for table in zone.circle_tables for a in circle_quad_arcs(r, table)])
 
 
 def reference_profile(zone):
@@ -110,8 +115,9 @@ class TestProfileMatchesReference:
 
 
 class TestProfileSweep:
-    """The one-sweep profile gives every radius the arcs ``beta_of_r`` gives
-    it, bit for bit."""
+    """The sweep gives each radius the same beta whichever other radii it
+    sweeps with: ``beta_of_r``, the sweep over one radius, matches the
+    profile at every radius, bit for bit."""
 
     @pytest.mark.parametrize("theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-12rad"))
     def test_sweep_equals_beta_of_r_at_every_radius(self, theta):
@@ -130,11 +136,14 @@ class TestExactRangeFilter:
         "theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-6rad", "1e-12rad")
     )
     def test_beta_equals_beta_over_every_rhomb(self, theta):
-        for n in range(3, 17):
+        for n in range(3, 33):
             zone = planar_zone(n, parse_theta(theta))
-            for r in sample_radii(zone):
-                arcs = [a for table in zone.circle_tables for a in circle_quad_arcs(r, table)]
-                assert beta_of_r(zone, r) == shortest_covering_arc(merge_arcs(arcs)), (n, r)
+            expected = [
+                (r, b)
+                for r in sample_radii(zone)
+                if (b := shortest_covering_arc(arcs_over_every_rhomb(zone, r))) is not None
+            ]
+            assert beta_profile(zone) == expected, n
 
 
 class TestOneProfilePerCell:
