@@ -16,6 +16,7 @@ from .verify import (
     beta_of_r,
     beta_profile,
     net_overlap_oracle,
+    orbit_overlap_oracle,
     rhomb_subtended_angles,
     run_verification,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "crescent",
     "generators",
     "net_overlap_oracle",
+    "orbit_overlap_oracle",
     "planar_zone",
     "rhomb_angle",
     "rhomb_subtended_angles",

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 
 def alpha_from_n(n: float) -> float:
     """alpha = 2*pi/n, n a continuous parameter >= 2."""
@@ -61,6 +59,8 @@ def tan_beta(L):
     the independently derived geometric value; algebraic simplification is
     exercised in the tests instead.
     """
+    import mpmath as mp
+
     L = mp.mpf(L)
     root = mp.sqrt(4 - L**2)
     nested = mp.sqrt(L**4 * (4 - L**2))
@@ -71,6 +71,8 @@ def tan_beta(L):
 
 def beta_from_side(L: float) -> float:
     """beta = arctan(tan beta); the tangent is positive for all L in (0, 2)."""
+    import mpmath as mp
+
     return float(mp.atan(tan_beta(L)))
 
 
@@ -120,6 +122,8 @@ def crescent_geometry(n: float) -> CrescentGeometry:
 def _circle_circle_points(center, r) -> tuple:
     """The two intersections of C(r) about the origin with the unit circle at
     ``center``; mpmath precision."""
+    import mpmath as mp
+
     c = mp.mpc(center)
     d = abs(c)
     a = (r * r - 1 + d * d) / (2 * d)
@@ -140,6 +144,8 @@ def crescent_beta_geometric(n: float, r: float | None = None, dps: int = 40) -> 
     the candidate whose midpoint direction hits the crescent (inside the
     left-chain circle, outside the right-chain one).
     """
+    import mpmath as mp
+
     geo = crescent_geometry(n)
     lo, hi = geo.radius_window()
     if r is None:

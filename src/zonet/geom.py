@@ -126,18 +126,19 @@ def shortest_covering_arc(ivs: Arcs) -> float | None:
     return TWO_PI - max_gap
 
 
-def covering_arc_of_angles(angles: Sequence[float]) -> float | None:
-    """Shortest arc covering a finite set of directions (max-gap rule)."""
+def covering_arc_of_angles(angles: Sequence[float]) -> tuple[float, float] | None:
+    """(start, length) of the shortest CCW arc covering a finite set of
+    directions (max-gap rule); start is in [0, 2*pi), None for no directions."""
     if not angles:
         return None
     srt = sorted(normalize_angle(a) for a in angles)
     if len(srt) == 1:
-        return 0.0
-    max_gap = srt[0] + TWO_PI - srt[-1]
+        return srt[0], 0.0
+    start, max_gap = srt[0], srt[0] + TWO_PI - srt[-1]
     for a, b in zip(srt, srt[1:]):
         if b - a > max_gap:
-            max_gap = b - a
-    return TWO_PI - max_gap
+            start, max_gap = b, b - a
+    return start, TWO_PI - max_gap
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +295,14 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
 
     The circle is about the origin (translate the quad to move it).  It is
     intersected with each edge, using the table's coefficients; the
-    resulting angular partition is classified by midpoint membership.  At
-    most 4 arcs can result.  Zero-measure contacts (tangency, a degenerate
+    resulting angular partition is classified by midpoint membership.  In
+    exact geometry the circle crosses the boundary of a convex quad at most
+    8 times, so at most 4 arcs lie inside.  Near an edge tangency, though,
+    the float discriminant leaves two crossings about 1e-8 apart where
+    there is one touch, and these split one arc into adjacent arcs that
+    share an end: at (3, 2.1009 deg), R_1 and r = 0.8671861417025767,
+    where C(r) grazes two edge lines, 5 arcs result, and ``merge_arcs``
+    joins them into one.  Zero-measure contacts (tangency, a degenerate
     quad, whose table is None) give no arc: the overlap machinery cares
     about interior points only.
     """

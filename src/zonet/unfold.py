@@ -146,10 +146,11 @@ class Net:
 
     @cached_property
     def zones(self) -> tuple[PlanarZone, ...]:
-        return tuple(
-            PlanarZone(self.n, self.theta, self.alpha, _as_tuples(quads))
-            for quads in self.corners
-        )
+        return tuple(map(self.zone, range(self.n)))
+
+    def zone(self, i: int) -> PlanarZone:
+        """Zone i read off ``corners``, without building ``zones``."""
+        return PlanarZone(self.n, self.theta, self.alpha, _as_tuples(self.corners[i]))
 
 
 @lru_cache(maxsize=64)

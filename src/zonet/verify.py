@@ -13,9 +13,14 @@ reach its supremum.  Each cell computes that profile once: at theta = 0 the
 upper-half and lower-half checks read their radius windows off the same
 profile that bounds beta by alpha.
 
-The one fully exact check is `net_overlap_oracle`, which tests rhomb pairs of
+The one fully exact check is the overlap oracle, which tests rhomb pairs of
 the assembled net with a filtered float predicate with an exact rational
-fallback and is independent of the beta machinery.
+fallback and is independent of the beta machinery.  ``run_verification``
+runs its orbit form, ``orbit_overlap_oracle``: zone i of the net is zone 0
+turned by i * alpha, so testing zone 0 against zones 1..n-1 covers every
+zone pair, and a hit between zones 0 and k counts the n - k zone pairs
+(i, i + k).  ``net_overlap_oracle`` tests every zone pair of any net, orbit
+or not, and is the reference for the orbit form.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
+    TWO_PI,
     circle_quad_arcs,
     covering_arc_of_angles,
     merge_arcs,
@@ -116,10 +122,16 @@ def _betas(zone: PlanarZone, radii: list[float]) -> list[float | None]:
 
 
 def rhomb_subtended_angles(zone: PlanarZone) -> list[float]:
-    """beta_i: angle subtended at o by rhomb R_i (list index i-1).
+    """beta_i: angle subtended at o by rhomb R_i (list index i-1)."""
+    return [length for _, length in _rhomb_arcs(zone)]
+
+
+def _rhomb_arcs(zone: PlanarZone) -> list[tuple[float, float]]:
+    """(start, length) of the CCW arc of directions from o that each rhomb
+    covers, in rhomb order.
 
     The rhombs are convex and o lies outside each of them except for the
-    corner of R_1 at o itself, so the subtended angle is attained at corner
+    corner of R_1 at o itself, so the arc is the covering arc of the corner
     directions; corners at o contribute no direction of their own.
     """
     out = []
@@ -243,6 +255,14 @@ OVERLAP_SLACK = 1e-9
 #: box pairs the sort-and-prune pass expands at once: its temporaries stay
 #: at a few arrays of this many entries whatever n is
 PRUNE_BLOCK = 1 << 18
+#: widening, in edge units and in radians, of each rhomb's radius range and
+#: arc in the orbit prefilter.  Two rhombs whose shrunk interiors overlap
+#: share a point p whose disc of radius OVERLAP_SLACK lies inside both, so
+#: their exact radius ranges overlap by 2 OVERLAP_SLACK and their arcs by
+#: 2 OVERLAP_SLACK / |p|; the float ranges, arcs and k * alpha are within a
+#: few ulps (about 1e-15) of the exact ones of the net's own corners, far
+#: inside this widening, so the prefilter drops no such pair
+ORBIT_SLACK = 1e-12
 
 
 def net_overlap_oracle(net: Net) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -262,20 +282,94 @@ def net_overlap_oracle(net: Net) -> list[tuple[tuple[int, int], tuple[int, int]]
     The candidates are the cross-zone pairs whose open bounding boxes
     overlap, found by sort-and-prune; overlap of the shrunk interiors forces
     their boxes to overlap, so the prefilter loses nothing.  Pairs and hits
-    come in (zone, rhomb)-major order.
+    come in (zone, rhomb)-major order.  This holds for any ``Net``; on an
+    orbit net, such as ``assemble_net`` builds, ``orbit_overlap_oracle``
+    finds the hits whose first zone is 0 and counts the rest.
     """
     per_zone = net.corners.shape[1]
     shrunk, ok = shrink_quads(net.corners.reshape(-1, 4, 2), OVERLAP_SLACK)
     keep = np.flatnonzero(ok)
     quads = shrunk[keep]
     first, second = _candidate_pairs(quads.min(axis=1), quads.max(axis=1), keep // per_zone)
-    pts = quads.tolist()
     labels = keep.tolist()
-    hits = []
-    for i, j in zip(first.tolist(), second.tolist()):
-        if polygons_interior_overlap(pts[i], pts[j]):
-            hits.append((divmod(labels[i], per_zone), divmod(labels[j], per_zone)))
-    return hits
+    return [
+        (divmod(labels[i], per_zone), divmod(labels[j], per_zone))
+        for i, j in _overlapping(quads, zip(first.tolist(), second.tolist()))
+    ]
+
+
+def orbit_overlap_oracle(net: Net) -> list[tuple[int, int, int]]:
+    """Overlaps of an orbit net, as (a, k, b): zone 0's rhomb R_{a+1} and
+    zone k's rhomb R_{b+1} have overlapping shrunk interiors; in (a, k, b)
+    order.
+
+    An orbit net has zone k equal to zone 0 turned about o by k * alpha, as
+    ``assemble_net`` builds it with the same float operations for every
+    zone.  Zone pair (i, i + k) is then the pair (0, k) turned by i * alpha,
+    up to rounding near 1e-16, seven orders of magnitude below
+    ``OVERLAP_SLACK``; so each hit (a, k, b) stands for the n - k zone pairs
+    (i, i + k), and the hits are those of ``net_overlap_oracle`` whose first
+    zone is 0.
+
+    Candidates come from zone 0's geometry alone.  A rhomb pair (a, b) can
+    only meet where their radius ranges from o meet, found by sort-and-prune
+    over the n - 1 ranges; for such a pair, rhomb b turned by k * alpha can
+    only meet rhomb a where their arcs of directions from o meet, which
+    bounds k * alpha to one interval modulo 2 pi, and k to at most two
+    integer ranges since (n - 1) * alpha < 2 pi.  Each candidate is shrunk
+    and tested exactly, as ``net_overlap_oracle`` tests it, on the net's
+    own corners ``net.corners[0, a]`` and ``net.corners[k, b]``.
+    """
+    n, alpha = net.n, net.alpha
+    zone0 = net.zone(0)
+    ranges = zone0.radius_ranges
+    arcs = _rhomb_arcs(zone0)
+    order = sorted(range(n - 1), key=lambda a: ranges[a][0])
+    los = [ranges[a][0] for a in order]
+    candidates = []
+    for i, a in enumerate(order):
+        # sorted by lower end, the ranges after a's that start before it
+        # ends are the ones that meet it
+        for b in order[i : bisect_right(los, ranges[a][1] + ORBIT_SLACK)]:
+            candidates += [(a, k, b) for k in _shifts(arcs[a], arcs[b], alpha, n)]
+            if b != a:
+                candidates += [(b, k, a) for k in _shifts(arcs[b], arcs[a], alpha, n)]
+    candidates.sort()
+    # zone 0's rhombs, then each zone-k rhomb some candidate names
+    rows = {(0, a): a for a in range(n - 1)}
+    for _, k, b in candidates:
+        rows.setdefault((k, b), len(rows))
+    ks, bs = zip(*rows)
+    shrunk, ok = shrink_quads(net.corners[ks, bs], OVERLAP_SLACK)
+    live = ok.tolist()
+    tested = {}  # (row of a, row of b in zone k) -> (a, k, b), in candidate order
+    for a, k, b in candidates:
+        if live[a] and live[rows[k, b]]:
+            tested[a, rows[k, b]] = (a, k, b)
+    return [tested[pair] for pair in _overlapping(shrunk, tested)]
+
+
+def _shifts(arc_a: tuple[float, float], arc_b: tuple[float, float], alpha: float, n: int):
+    """The k in 1..n - 1 for which the arc ``arc_b`` turned by k * alpha
+    meets ``arc_a``, each widened by ``ORBIT_SLACK``; both arcs are (start,
+    length) with length below pi."""
+    (sa, la), (sb, lb) = arc_a, arc_b
+    lo = sa - sb - lb - ORBIT_SLACK
+    hi = sa - sb + la + ORBIT_SLACK
+    # k * alpha lies in [lo, hi] + 2 pi m, and k * alpha in [alpha, (n - 1) alpha]
+    m_lo = math.ceil((alpha - hi) / TWO_PI)
+    m_hi = math.floor(((n - 1) * alpha - lo) / TWO_PI)
+    for m in range(m_lo, m_hi + 1):
+        first = max(1, math.ceil((lo + m * TWO_PI) / alpha))
+        last = min(n - 1, math.floor((hi + m * TWO_PI) / alpha))
+        yield from range(first, last + 1)
+
+
+def _overlapping(shrunk: np.ndarray, pairs) -> list[tuple[int, int]]:
+    """The (i, j) of ``pairs``, in order, whose ``shrunk`` quads i and j
+    (``shrink_quads`` results that survived) have overlapping interiors."""
+    pts = shrunk.tolist()
+    return [(i, j) for i, j in pairs if polygons_interior_overlap(pts[i], pts[j])]
 
 
 def _candidate_pairs(
@@ -457,10 +551,10 @@ def run_verification(n: int, theta: float, check_overlap: bool = True) -> Verifi
         rep.skipped["flat_rhomb"] = "n odd: no central rhomb"
 
     if check_overlap:
-        net = assemble_net(n, theta)
-        hits = net_overlap_oracle(net)
-        rep.overlap_pairs = len(hits)
+        # each orbit hit (a, k, b) stands for the n - k zone pairs (i, i + k)
+        pairs = sum(n - k for _, k, _ in orbit_overlap_oracle(assemble_net(n, theta)))
+        rep.overlap_pairs = pairs
         rep.checks["net_overlap"] = CheckResult.of(
-            [(float(-len(hits)), False)], f"{len(hits)} overlapping pairs"
+            [(float(-pairs), False)], f"{pairs} overlapping pairs"
         )
     return rep

@@ -5,6 +5,9 @@ batches, and ``reference_oracle`` the per-row bounding-box oracle that
 ``verify.net_overlap_oracle`` replaces with sort-and-prune.  Both are kept
 as they were written for one quad and one row at a time, so the tests can
 assert bit-identical shrinks and the same hits in the same order.
+``net_overlap_oracle`` is in turn the reference for
+``verify.orbit_overlap_oracle``, which ``run_verification`` runs: the tests
+require its hits to be the all-pairs hits whose first zone is 0.
 """
 
 from __future__ import annotations

@@ -88,16 +88,16 @@ class TestShortestCoveringArc:
     @settings(max_examples=200, deadline=None)
     def test_rotation_invariance(self, angles, shift):
         """The covering arc of a direction set is rotation invariant."""
-        base = covering_arc_of_angles(angles)
-        rotated = covering_arc_of_angles([a + shift for a in angles])
+        base = covering_arc_of_angles(angles)[1]
+        rotated = covering_arc_of_angles([a + shift for a in angles])[1]
         assert rotated == pytest.approx(base, abs=1e-9)
 
     @given(st.lists(st.floats(0.0, TWO_PI - 1e-9), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_monotone_under_subset(self, angles):
         """Dropping directions can only shrink the covering arc."""
-        whole = covering_arc_of_angles(angles)
-        part = covering_arc_of_angles(angles[: max(1, len(angles) // 2)])
+        whole = covering_arc_of_angles(angles)[1]
+        part = covering_arc_of_angles(angles[: max(1, len(angles) // 2)])[1]
         assert part <= whole + 1e-12
 
 

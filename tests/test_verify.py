@@ -26,6 +26,7 @@ from zonet.verify import (
     diagonal_perpendicular_test,
     flat_rhomb_check,
     net_overlap_oracle,
+    orbit_overlap_oracle,
     rhomb_subtended_angles,
     run_verification,
     sample_radii,
@@ -112,19 +113,6 @@ class TestProfileMatchesReference:
         for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
             zone = planar_zone(n, math.radians(theta_deg))
             assert beta_profile(zone) == reference_profile(zone), theta_deg
-
-
-class TestProfileSweep:
-    """The sweep gives each radius the same beta whichever other radii it
-    sweeps with: ``beta_of_r``, the sweep over one radius, matches the
-    profile at every radius, bit for bit."""
-
-    @pytest.mark.parametrize("theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-12rad"))
-    def test_sweep_equals_beta_of_r_at_every_radius(self, theta):
-        for n in range(3, 49):
-            zone = planar_zone(n, parse_theta(theta))
-            expected = [(r, b) for r in sample_radii(zone) if (b := beta_of_r(zone, r)) is not None]
-            assert beta_profile(zone) == expected, n
 
 
 class TestExactRangeFilter:
@@ -258,7 +246,7 @@ class TestSubtendedAngles:
             for j in range(m):
                 t = j / m
                 pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        sampled = covering_arc_of_angles(
+        _, sampled = covering_arc_of_angles(
             [math.atan2(y, x) for x, y in pts if math.hypot(x, y) > 1e-12]
         )
         assert sampled == pytest.approx(betas[min(2, n - 2)], abs=1e-6)
@@ -401,6 +389,45 @@ class TestOverlapOracle:
                 assert verdict == reference_overlap(a, b)
 
 
+def orbit_net(n, theta, step):
+    """Zone 0 turned by i * step for each zone i, as ``assemble_net`` turns
+    it by i * alpha: an orbit consistent with its own ``alpha``."""
+    zone = planar_zone(n, theta)
+    return Net(n, theta, step, tuple(zone.rotated(i * step) for i in range(n)))
+
+
+def assert_orbit_matches_all_pairs(net, hits):
+    """The orbit hits are the all-pairs ``hits`` whose first zone is 0, and
+    each hit (a, k, b) stands for n - k of ``hits``."""
+    orbit = orbit_overlap_oracle(net)
+    assert orbit == [(a, k, b) for (i, a), (k, b) in hits if i == 0]
+    assert sum(net.n - k for _, k, _ in orbit) == len(hits)
+
+
+class TestOrbitOracle:
+    """Zone 0 against zones 1..n-1 finds what all pairs find, on true nets
+    and on consistent orbits with a wrong step alpha', which overlap."""
+
+    @pytest.mark.parametrize("theta", DEFAULT_THETAS.split(","))
+    def test_true_nets(self, theta):
+        for n in range(3, 33):
+            net = assemble_net(n, math.radians(float(theta)))
+            assert_orbit_matches_all_pairs(net, net_overlap_oracle(net))
+
+    @pytest.mark.parametrize("n", (4, 5, 8, 13, 16, 24))
+    def test_wrong_alpha_orbits(self, n):
+        found = 0
+        for theta in (0.0, 0.01, 0.35, 1.0, 1.5):
+            for ratio in (0.5, 0.9, 0.99, 0.999999, 1.01):
+                step = ratio * 2.0 * math.pi / n
+                if (n - 1) * step < 2.0 * math.pi:
+                    net = orbit_net(n, theta, step)
+                    hits = net_overlap_oracle(net)
+                    assert_orbit_matches_all_pairs(net, hits)
+                    found += len(hits)
+        assert found > 0
+
+
 class TestOracleMatchesReference:
     """Sort-and-prune over the batched shrink asks the predicate about the
     same pairs of shrunk quads, in the same order, as the per-row
@@ -435,7 +462,10 @@ class TestOracleMatchesReference:
     @pytest.mark.parametrize("n", (64, 128))
     @pytest.mark.parametrize("theta_deg", (20.0, 89.5))
     def test_large_n(self, monkeypatch, n, theta_deg):
-        assert self.assert_same(monkeypatch, assemble_net(n, math.radians(theta_deg))) == []
+        net = assemble_net(n, math.radians(theta_deg))
+        hits = self.assert_same(monkeypatch, net)
+        assert hits == []
+        assert_orbit_matches_all_pairs(net, hits)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", (*range(3, 33), 64))
@@ -569,18 +599,45 @@ def _assert_margin_sign_follows_verdict(rep):
             assert c.margin <= 0.0, (name, c)
 
 
+def _orbit_short_of_alpha(n, theta):
+    """Every zone i turned by i * 0.9 alpha: a consistent orbit."""
+    return orbit_net(n, theta, 0.9 * 2.0 * math.pi / n)
+
+
+def _last_zone_too_far(n, theta):
+    """Only zone n - 1 turned 0.1 alpha further, into zone 0."""
+    net = assemble_net(n, theta)
+    zones = list(net.zones)
+    zones[-1] = zones[-1].rotated(0.1 * net.alpha)
+    return Net(n, theta, net.alpha, tuple(zones))
+
+
 class TestFaultInjection:
     """A geometric fault in the developed zone trips exactly the named check.
 
     ``run_verification`` reads its zone through ``verify.planar_zone``; the
     net for the overlap oracle is assembled from the true zone, so these
-    faults leave ``net_overlap`` clean.
+    faults leave ``net_overlap`` clean.  Misplaced nets go in through
+    ``verify.assemble_net``.
     """
 
     @pytest.mark.parametrize("check,n,theta_deg,edit", FAULTS)
     def test_fault_trips_only_its_check(self, monkeypatch, check, n, theta_deg, edit):
         rep = _faulty_report(monkeypatch, n, theta_deg, edit)
         assert rep.failures() == [check]
+
+    @pytest.mark.parametrize(
+        "make,theta", [(_orbit_short_of_alpha, 0.3), (_last_zone_too_far, 0.0)]
+    )
+    def test_misplaced_net_trips_net_overlap(self, monkeypatch, make, theta):
+        """A net placed wrong trips net_overlap through ``run_verification``,
+        which counts the zone pairs that all pairs find, and leaves every
+        other check clean."""
+        monkeypatch.setattr(verify, "assemble_net", make)
+        rep = run_verification(16, theta)
+        assert rep.failures() == ["net_overlap"]
+        pairs = len(net_overlap_oracle(make(16, theta)))
+        assert rep.overlap_pairs == -rep.checks["net_overlap"].margin == pairs >= 1
 
 
 _T, _S, _B = verify.ANGLE_TOL, verify.STRICT_MARGIN, verify.BETA_TOL

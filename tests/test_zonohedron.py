@@ -301,6 +301,19 @@ class TestValidationFaults:
             build(Params(8, 1e-300))
 
 
+def _loaded(package, code):
+    """The modules of ``package`` in ``sys.modules`` after a fresh
+    interpreter runs ``code``."""
+    code += f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
+    path = [os.path.dirname(os.path.dirname(zonet.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 def test_library_runs_without_scipy():
     """build, validate, verification and net assembly never import scipy."""
     code = (
@@ -308,12 +321,17 @@ def test_library_runs_without_scipy():
         "zonet.build(zonet.Params(8, 0.3))\n"
         "zonet.run_verification(8, 0.3)\n"
         "zonet.assemble_net(8, 0.3)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    path = [os.path.dirname(os.path.dirname(zonet.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    assert _loaded("scipy", code) == "[]"
+
+
+def test_cli_and_library_run_without_mpmath():
+    """Only the crescent functions load mpmath: importing the CLI, a build,
+    a verification and a net leave it unloaded."""
+    code = (
+        "import sys, zonet.cli, zonet\n"
+        "zonet.build(zonet.Params(8, 0.3))\n"
+        "zonet.run_verification(8, 0.3)\n"
+        "zonet.assemble_net(8, 0.3)\n"
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _loaded("mpmath", code) == "[]"
