@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import NULL_EDGE_SQ, CircleTable, Point2, circle_table
+from .geom import NULL_EDGE_SQ, CircleTable, Point2, circle_table, covering_arc_of_angles
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
@@ -73,6 +73,25 @@ class PlanarZone:
         """Per-rhomb [min, max] distance from o, read off ``rhomb_radii``;
         C(r) can only meet in-range rhombs."""
         return tuple((min(radii), max(radii[:4])) for radii in self.rhomb_radii)
+
+    @cached_property
+    def direction_arcs(self) -> tuple[tuple[float, float], ...]:
+        """Per rhomb, (start, length) of the CCW arc of directions from o
+        that it covers.
+
+        The rhombs are convex and o lies outside each of them except for
+        the corner of R_1 at o itself, so the arc is the covering arc of
+        the corner directions; corners at o contribute no direction of
+        their own.
+        """
+        out = []
+        for quad in self.corners:
+            arc = covering_arc_of_angles(
+                [math.atan2(p[1], p[0]) for p in quad if p != (0.0, 0.0)]
+            )
+            assert arc is not None
+            out.append(arc)
+        return tuple(out)
 
     def half_split(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
         """(upper, lower, flat) rhomb indices (0-based); flat exists for n even.
@@ -135,6 +154,7 @@ class Net:
         if (zones is None) == (corners is None):
             raise ValueError("a Net is built from exactly one of zones and corners")
         self.n, self.theta, self.alpha = n, theta, alpha
+        self._zone: dict[int, PlanarZone] = {}  # the zones ``zone`` has read
         if zones is not None:
             self.__dict__["zones"] = tuple(zones)
         else:
@@ -149,8 +169,10 @@ class Net:
         return tuple(map(self.zone, range(self.n)))
 
     def zone(self, i: int) -> PlanarZone:
-        """Zone i read off ``corners``, without building ``zones``."""
-        return PlanarZone(self.n, self.theta, self.alpha, _as_tuples(self.corners[i]))
+        """Zone i read off ``corners``, once, without building ``zones``."""
+        if i not in self._zone:
+            self._zone[i] = PlanarZone(self.n, self.theta, self.alpha, _as_tuples(self.corners[i]))
+        return self._zone[i]
 
 
 @lru_cache(maxsize=64)
@@ -186,4 +208,8 @@ def assemble_net(n: int, theta: float) -> Net:
     # math.cos/sin, as PlanarZone.rotated uses, so both give the same bits
     c = np.array([math.cos(a) for a in angles])[:, None, None]
     s = np.array([math.sin(a) for a in angles])[:, None, None]
-    return Net(n, theta, zone0.alpha, corners=_rotate(zone0.array, c, s))
+    net = Net(n, theta, zone0.alpha, corners=_rotate(zone0.array, c, s))
+    # the turn by 0 keeps every coordinate, so zone 0 reads back as zone0,
+    # with the ranges and arcs it has already computed
+    net._zone[0] = zone0
+    return net

@@ -34,7 +34,6 @@ import numpy as np
 from .geom import (
     TWO_PI,
     circle_quad_arcs,
-    covering_arc_of_angles,
     merge_arcs,
     polygons_interior_overlap,
     shortest_covering_arc,
@@ -122,25 +121,9 @@ def _betas(zone: PlanarZone, radii: list[float]) -> list[float | None]:
 
 
 def rhomb_subtended_angles(zone: PlanarZone) -> list[float]:
-    """beta_i: angle subtended at o by rhomb R_i (list index i-1)."""
-    return [length for _, length in _rhomb_arcs(zone)]
-
-
-def _rhomb_arcs(zone: PlanarZone) -> list[tuple[float, float]]:
-    """(start, length) of the CCW arc of directions from o that each rhomb
-    covers, in rhomb order.
-
-    The rhombs are convex and o lies outside each of them except for the
-    corner of R_1 at o itself, so the arc is the covering arc of the corner
-    directions; corners at o contribute no direction of their own.
-    """
-    out = []
-    for quad in zone.corners:
-        angles = [math.atan2(p[1], p[0]) for p in quad if p != (0.0, 0.0)]
-        arc = covering_arc_of_angles(angles)
-        assert arc is not None
-        out.append(arc)
-    return out
+    """beta_i: angle subtended at o by rhomb R_i (list index i-1), the
+    length of its ``direction_arcs`` entry."""
+    return [length for _, length in zone.direction_arcs]
 
 
 def candidate_diagonal(quad) -> tuple:
@@ -322,8 +305,7 @@ def orbit_overlap_oracle(net: Net) -> list[tuple[int, int, int]]:
     """
     n, alpha = net.n, net.alpha
     zone0 = net.zone(0)
-    ranges = zone0.radius_ranges
-    arcs = _rhomb_arcs(zone0)
+    ranges, arcs = zone0.radius_ranges, zone0.direction_arcs
     order = sorted(range(n - 1), key=lambda a: ranges[a][0])
     los = [ranges[a][0] for a in order]
     candidates = []

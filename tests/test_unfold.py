@@ -355,6 +355,14 @@ class TestNet:
             assert rotated.array.tobytes() == net.corners[i].tobytes()
 
     @pytest.mark.parametrize("n,theta_deg", [(5, 0.0), (16, 20.0), (24, 37.3), (40, 89.5)])
+    def test_zone_0_reads_back_as_the_developed_zone(self, n, theta_deg):
+        """assemble_net hands zone 0 back as the zone it turned by 0, which
+        is only sound while that turn keeps every bit."""
+        net = assemble_net(n, math.radians(theta_deg))
+        assert net.zone(0) is planar_zone(n, math.radians(theta_deg))
+        assert net.zone(0).array.tobytes() == net.corners[0].tobytes()
+
+    @pytest.mark.parametrize("n,theta_deg", [(5, 0.0), (16, 20.0), (24, 37.3), (40, 89.5)])
     def test_net_matches_scalar_rotation_bitwise(self, n, theta_deg):
         """Each corner is (0 + c*x) - s*y, (0 + s*x) + c*y with c, s from
         math.cos/math.sin of i*alpha, evaluated point by point in Python."""
