@@ -1,9 +1,8 @@
-"""Planar primitives: angles, merged arc sets, circle/quad arcs, exact overlap.
+"""Planar primitives: angles, circle/quad arcs, exact overlap.
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
-units.  ``circle_quad_arcs`` returns the raw arcs of one circle about the origin
-inside one quad, so a caller that collects arcs over many quads merges them once,
-with ``merge_arcs``, and measures the merged arcs with ``shortest_covering_arc``.
+units.  ``circle_quad_arcs`` returns the arcs of one circle about the origin
+inside one quad; ``verify`` spans the arcs it collects over a zone's quads.
 ``circle_table`` computes a quad's per-edge circle-crossing coefficients once,
 so only the radius-dependent terms are computed per call.  ``shrink_quads``
 shrinks a whole array of quads in one pass and decides, once per quad, that
@@ -20,14 +19,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: gaps smaller than this are merged when merging arcs (float noise at shared
-#: rhomb edges)
+#: circle crossings closer than this are one crossing (a circle through a
+#: quad vertex crosses both edges there)
 MERGE_EPS = 1e-12
 #: edges whose squared length is below this are points: they cross no circle
 NULL_EDGE_SQ = 1e-30
@@ -62,68 +61,6 @@ def normalize_angle(a: float) -> float:
     if a >= TWO_PI:  # fmod can round up to 2*pi
         a -= TWO_PI
     return a
-
-
-def merge_arcs(pairs: Iterable[tuple[float, float]]) -> Arcs:
-    """The canonical union of CCW (start, end) arcs, pairwise disjoint.
-
-    end < start is read as wrapping through 0.  Each merged arc is (start,
-    end) with start in [0, 2*pi) and start < end <= start + 2*pi; end > 2*pi
-    marks an arc wrapping through 0.  Arcs shorter than MERGE_EPS are
-    dropped and arcs separated by gaps below MERGE_EPS merged; a union
-    reaching 2*pi - MERGE_EPS is the full circle ``((0.0, 2*pi),)``.
-    """
-    norm: list[tuple[float, float]] = []
-    for a, b in pairs:
-        length = b - a
-        if length >= TWO_PI - MERGE_EPS:
-            return ((0.0, TWO_PI),)
-        length = math.fmod(length, TWO_PI)
-        if length < 0.0:
-            length += TWO_PI
-        if length <= MERGE_EPS:
-            continue
-        s = normalize_angle(a)
-        norm.append((s, s + length))
-    if not norm:
-        return ()
-    norm.sort()
-    merged = [list(norm[0])]
-    for s, e in norm[1:]:
-        if s <= merged[-1][1] + MERGE_EPS:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    # wrap-around: the last arc may reach past 2*pi into leading ones
-    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI - MERGE_EPS:
-        s0, e0 = merged.pop(0)
-        merged[-1][1] = max(merged[-1][1], e0 + TWO_PI)
-    if sum(e - s for s, e in merged) >= TWO_PI - MERGE_EPS:
-        return ((0.0, TWO_PI),)
-    return tuple((s, e) for s, e in merged)
-
-
-def shortest_covering_arc(ivs: Arcs) -> float | None:
-    """Angle of the shortest single arc covering the merged arcs ``ivs``
-    (a ``merge_arcs`` result).
-
-    Returns None for no arcs (no intersection), which is distinct from a
-    zero-measure answer.  For a single arc this is its length; in general
-    it is 2*pi minus the largest gap between consecutive arcs.
-    """
-    if not ivs:
-        return None
-    if len(ivs) == 1:
-        return min(ivs[0][1] - ivs[0][0], TWO_PI)
-    max_gap = 0.0
-    for i, (start, end) in enumerate(ivs):
-        nxt = ivs[(i + 1) % len(ivs)][0]
-        gap = nxt - end
-        if gap < 0.0:
-            gap += TWO_PI
-        if gap > max_gap:
-            max_gap = gap
-    return TWO_PI - max_gap
 
 
 def covering_arc_of_angles(angles: Sequence[float]) -> tuple[float, float] | None:
@@ -203,9 +140,13 @@ def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     strictly left at each of its four corners, decided by the filtered float
     orientation with ``_orient_exact`` for each corner the filter cannot
     decide, so it is a simple, strictly convex, CCW quad:
-    ``polygons_interior_overlap`` relies on that.
+    ``polygons_interior_overlap`` relies on that.  Four left turns prove
+    convexity for four vertices only (a pentagram turns left at every
+    corner), so any other shape raises ValueError.
     """
     q = np.asarray(quads, dtype=float)
+    if q.ndim != 3 or q.shape[1:] != (4, 2):
+        raise ValueError("shrink_quads takes an (N, 4, 2) array of quads")
     with np.errstate(all="ignore"):  # rejected quads may divide by zero
         area2 = _area2(q[..., 0], q[..., 1])
         ok = ~(np.abs(area2) <= DEGENERATE_AREA)
@@ -233,18 +174,6 @@ def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
         side = nx[:, None, :] * ox[:, :, None] + ny[:, None, :] * oy[:, :, None]
         ok &= ~(side > (c + PHANTOM_SLACK)[:, None, :]).any(axis=(1, 2))
     return np.stack((ox, oy), axis=-1), ok
-
-
-def shrink_convex(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
-    """``shrink_quads`` for one quad: its shrunk vertices, or None.
-
-    Raises ValueError unless ``vs`` has four vertices (a pentagram also
-    turns left at every corner).
-    """
-    if len(vs) != 4:
-        raise ValueError("shrink_convex takes quads only")
-    out, ok = shrink_quads(np.array([vs], dtype=float), delta)
-    return [tuple(p) for p in out[0].tolist()] if ok[0] else None  # type: ignore[misc]
 
 
 def _signed_area2(vs: Sequence[Point2]) -> float:
@@ -290,8 +219,8 @@ def _reject_right_turns(x: np.ndarray, y: np.ndarray, ok: np.ndarray) -> None:
 
 def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
     """CCW arcs (start, end) of angles phi with r*(cos phi, sin phi) inside
-    the quad whose ``circle_table`` is ``table``, unmerged; feed them to
-    ``merge_arcs``.
+    the quad whose ``circle_table`` is ``table``, pairwise disjoint and in
+    increasing order.
 
     The circle is about the origin (translate the quad to move it).  It is
     intersected with each edge, using the table's coefficients; the
@@ -301,10 +230,10 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
     the float discriminant leaves two crossings about 1e-8 apart where
     there is one touch, and these split one arc into adjacent arcs that
     share an end: at (3, 2.1009 deg), R_1 and r = 0.8671861417025767,
-    where C(r) grazes two edge lines, 5 arcs result, and ``merge_arcs``
-    joins them into one.  Zero-measure contacts (tangency, a degenerate
-    quad, whose table is None) give no arc: the overlap machinery cares
-    about interior points only.
+    where C(r) grazes two edge lines, 5 arcs result; their span is the
+    one arc's.  Zero-measure contacts (tangency, a degenerate quad, whose
+    table is None) give no arc: the overlap machinery cares about interior
+    points only.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -398,9 +327,9 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
 
 
 def polygons_interior_overlap(a: Sequence[Point2], b: Sequence[Point2]) -> bool:
-    """True iff the open interiors of two ``shrink_convex`` results intersect.
+    """True iff the open interiors of two ``shrink_quads`` results intersect.
 
-    Both inputs must be strictly convex CCW quads, as ``shrink_convex``
+    Both inputs must be strictly convex CCW quads, as ``shrink_quads``
     returns them.  Boundary-only contact (shared edges, shared vertices)
     returns False.  Every orientation is exact for the float inputs (a
     filtered float evaluation with a rational fallback), so sliver overlaps

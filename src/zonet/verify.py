@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (
-    TWO_PI,
-    circle_quad_arcs,
-    merge_arcs,
-    polygons_interior_overlap,
-    shortest_covering_arc,
-    shrink_quads,
-)
+from .geom import TWO_PI, circle_quad_arcs, polygons_interior_overlap, shrink_quads
 from .unfold import Net, PlanarZone, assemble_net, planar_zone
 
 BETA_TOL = 1e-9
@@ -107,13 +100,17 @@ def _betas(zone: PlanarZone, radii: list[float]) -> list[float | None]:
     """beta at each of the sorted ``radii``, None where C(r) misses the zone.
 
     One sweep over the rhombs: each rhomb's radius range is bisected into
-    the radii, and its arcs go to the radii in that range in rhomb order.
+    the radii, and its arcs go to the radii in that range.  The zone lies
+    below o: its pole-side edge runs along the x axis and every left-chain
+    step is (cos g, -sin g) with g in (0, pi].  So every arc of C(r) inside
+    it lies in the directions [pi, 2 pi], and the shortest arc covering
+    them runs from the first start to the last end.
     """
     pieces: list[list[tuple[float, float]]] = [[] for _ in radii]
     for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
         for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
             pieces[k].extend(circle_quad_arcs(radii[k], table))
-    return [shortest_covering_arc(merge_arcs(arcs)) for arcs in pieces]
+    return [max(e for _, e in arcs) - min(s for s, _ in arcs) if arcs else None for arcs in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,8 @@ def flat_rhomb_check(
     (how far the outer end is pushed off that axis).  That push strictly
     raises the outer end's radius from o once theta > 0, which is what keeps
     every chord of C(r) within the zone short of length 2.  ``profile`` is
-    the zone's ``beta_profile``: the chords are measured at its radii.
+    the zone's ``beta_profile``: the chords are measured at its radii, each
+    2 r sin(beta / 2), as beta <= pi (see ``_betas``).
     """
     n = zone.n
     if n % 2 != 0:
@@ -210,7 +208,7 @@ def flat_rhomb_check(
     lo, hi = zone.radius_ranges[n // 2 - 1]
     worst = max(
         (
-            2.0 * r * math.sin(min(b, math.pi) / 2.0)
+            2.0 * r * math.sin(b / 2.0)
             for r, b in profile
             if lo - EVENT_EPS <= r <= hi + EVENT_EPS
         ),
@@ -218,7 +216,7 @@ def flat_rhomb_check(
     )
     r_corner = max(ra - CORNER_RADIUS_OFFSET, CORNER_RADIUS_OFFSET)
     b = beta_of_r(zone, r_corner)
-    chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(min(b, math.pi) / 2.0)
+    chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(b / 2.0)
     return FlatRhombReport(corner, axis_d, cross_d, rb - ra, worst, chord_corner)
 
 

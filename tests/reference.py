@@ -31,7 +31,7 @@ from zonet.verify import OVERLAP_SLACK
 def reference_shrink(vs, delta):
     """Offset every edge of a convex quad inward by ``delta``, one quad at a time."""
     if len(vs) != 4:
-        raise ValueError("shrink_convex takes quads only")
+        raise ValueError("reference_shrink takes quads only")
     pts = list(vs)
     area2 = _signed_area2(pts)
     if abs(area2) <= DEGENERATE_AREA:

@@ -1,4 +1,4 @@
-"""Angular interval arithmetic, circle/quad clipping, and exact predicates."""
+"""Covering arcs of directions, circle/quad clipping, and exact predicates."""
 
 import math
 from fractions import Fraction
@@ -14,11 +14,8 @@ from zonet.geom import (
     circle_quad_arcs,
     circle_table,
     covering_arc_of_angles,
-    merge_arcs,
     normalize_angle,
     polygons_interior_overlap,
-    shortest_covering_arc,
-    shrink_convex,
     shrink_quads,
 )
 from zonet.verify import OVERLAP_SLACK
@@ -27,59 +24,26 @@ TWO_PI = 2.0 * math.pi
 
 
 def measure(arcs):
-    """Total length of merged arcs."""
+    """Total length of pairwise-disjoint arcs."""
     return sum(e - s for s, e in arcs)
 
 
-class TestAngularIntervalSet:
-    """``merge_arcs``: the canonical union of a collection of arcs."""
-
-    def test_single_interval_total(self):
-        s = merge_arcs(((0.2, 0.9),))
-        assert measure(s) == pytest.approx(0.7, abs=1e-15)
-
-    def test_merge_overlapping(self):
-        s = merge_arcs(((0.0, 1.0), (0.5, 2.0)))
-        assert measure(s) == pytest.approx(2.0, abs=1e-12)
-        assert len(s) == 1
-
-    def test_wraparound_merge(self):
-        # two pieces meeting across the branch cut form one arc
-        s = merge_arcs(((TWO_PI - 0.3, TWO_PI), (0.0, 0.4)))
-        assert measure(s) == pytest.approx(0.7, abs=1e-12)
-        assert shortest_covering_arc(s) == pytest.approx(0.7, abs=1e-12)
-
-    def test_empty(self):
-        s = merge_arcs(())
-        assert s == ()
-        assert shortest_covering_arc(s) is None
-
-    def test_full_circle(self):
-        s = merge_arcs(((0.0, TWO_PI),))
-        assert shortest_covering_arc(s) == pytest.approx(TWO_PI, abs=1e-12)
-
-    def test_arc_below_merge_eps_is_dropped(self):
-        assert merge_arcs(((0.1, 0.1 + 5e-13), (1.0, 2.0))) == ((1.0, 2.0),)
-
-    def test_one_wrap_swallows_two_arcs(self):
-        s = merge_arcs(((6.0, 7.0), (0.1, 0.3), (0.5, 0.6)))
-        assert s == ((6.0, 7.0),)
-        assert shortest_covering_arc(s) == 1.0
-
-
 class TestShortestCoveringArc:
+    """``covering_arc_of_angles``: 2 pi less the largest gap between
+    consecutive directions."""
+
     def test_two_antipodal_points_like_intervals(self):
-        # tiny intervals at 0 and pi: the covering arc is pi plus the slack
+        # directions near 0 and pi: the covering arc is pi plus the slack
         eps = 1e-6
-        s = merge_arcs(((0.0, eps), (math.pi, math.pi + eps)))
-        assert shortest_covering_arc(s) == pytest.approx(math.pi + eps, abs=1e-12)
+        arc = covering_arc_of_angles([0.0, eps, math.pi, math.pi + eps])
+        assert arc[1] == pytest.approx(math.pi + eps, abs=1e-12)
 
     def test_largest_gap_is_excluded(self):
-        # intervals leaving gaps of 1.0, 2.0 and the rest: cover = 2*pi - max gap
-        a = 0.0
-        s = merge_arcs(((a, a + 0.5), (a + 1.5, a + 2.0), (a + 4.0, a + 4.1)))
+        # directions leaving gaps of 1.0, 2.0 and the rest: cover = 2*pi - max gap
+        start, length = covering_arc_of_angles([0.0, 0.5, 1.5, 2.0, 4.0, 4.1])
         gaps = [1.0, 2.0, TWO_PI - 4.1]
-        assert shortest_covering_arc(s) == pytest.approx(TWO_PI - max(gaps), abs=1e-12)
+        assert start == 0.0
+        assert length == pytest.approx(TWO_PI - max(gaps), abs=1e-12)
 
     @given(
         st.lists(st.floats(0.0, TWO_PI - 1e-9), min_size=1, max_size=12),
@@ -112,7 +76,7 @@ def translated(vs, center):
 
 class TestCircleQuadArcs:
     def arcs(self, center, r):
-        return merge_arcs(circle_quad_arcs(r, circle_table(translated(UNIT_SQUARE, center))))
+        return circle_quad_arcs(r, circle_table(translated(UNIT_SQUARE, center)))
 
     def test_circle_missing_quad(self):
         arcs = self.arcs((5.0, 5.0), 1.0)
@@ -152,7 +116,8 @@ class TestCircleQuadArcs:
     )
     @settings(max_examples=150, deadline=None)
     def test_against_dense_sampling(self, cx, cy, r):
-        """Measured arc length agrees with brute-force membership sampling."""
+        """The length of the disjoint arcs agrees with brute-force
+        membership sampling."""
         arcs = self.arcs((cx, cy), r)
         m = 4000
         inside = 0
@@ -304,9 +269,15 @@ class TestCachedKernelMatchesReference:
         assert circle_quad_arcs(1.0, None) == ()
 
 
+def shrink_one(vs, delta):
+    """``shrink_quads`` on the one quad ``vs``: its shrunk vertices, or None."""
+    out, ok = shrink_quads(np.array([vs], dtype=float), delta)
+    return [tuple(p) for p in out[0].tolist()] if ok[0] else None
+
+
 class TestShrinkConvex:
     def test_square_shrinks_to_inner_square(self):
-        out = shrink_convex(UNIT_SQUARE, 0.1)
+        out = shrink_one(UNIT_SQUARE, 0.1)
         assert out is not None
         xs = sorted(p[0] for p in out)
         assert xs[0] == pytest.approx(0.1, abs=1e-12)
@@ -314,16 +285,16 @@ class TestShrinkConvex:
 
     def test_orientation_independent(self):
         cw = tuple(reversed(UNIT_SQUARE))
-        out = shrink_convex(cw, 0.1)
+        out = shrink_one(cw, 0.1)
         assert out is not None
         assert min(p[0] for p in out) == pytest.approx(0.1, abs=1e-12)
 
     def test_overshrink_returns_none(self):
-        assert shrink_convex(UNIT_SQUARE, 0.6) is None
+        assert shrink_one(UNIT_SQUARE, 0.6) is None
 
     def test_degenerate_returns_none(self):
         flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
-        assert shrink_convex(flat, 1e-9) is None
+        assert shrink_one(flat, 1e-9) is None
 
     def test_straight_corner_returns_none(self):
         """A quad of area 1 whose corner (1, 0) lies on the straight line
@@ -331,7 +302,7 @@ class TestShrinkConvex:
         shrunk corner does not exist.  Without ``SHRINK_MIN_DET`` the shrink
         divides by their zero determinant and the NaN corner reaches
         ``_orient_exact``."""
-        assert shrink_convex([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], 0.01) is None
+        assert shrink_one([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], 0.01) is None
 
     @given(st.floats(0.3, 3.0), st.floats(0.2, 1.3), st.floats(-3.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -342,7 +313,7 @@ class TestShrinkConvex:
             return (c * p[0] - s * p[1], s * p[0] + c * p[1])
 
         quad = tuple(rot(p) for p in ((0.0, 0.0), (w, 0.0), (w + skew, 1.0), (skew, 1.0)))
-        out = shrink_convex(quad, 1e-3)
+        out = shrink_one(quad, 1e-3)
         assert out is not None
         # every shrunk vertex lies strictly inside the original parallelogram
         for p in out:
@@ -361,14 +332,14 @@ class TestShrinkConvex:
     )
     @settings(max_examples=300, deadline=None)
     def test_result_is_strictly_convex_ccw(self, corner, ang, lu, lv, delta, cw):
-        """Every quad shrink_convex returns turns strictly left at each
+        """Every quad shrink_quads returns turns strictly left at each
         corner, checked in Fraction arithmetic independently of _orient."""
         u = (lu * math.cos(ang), lu * math.sin(ang))
         v = (lv * math.cos(ang + corner), lv * math.sin(ang + corner))
         quad = [(0.0, 0.0), u, (u[0] + v[0], u[1] + v[1]), v]
         if cw:
             quad.reverse()
-        out = shrink_convex(quad, delta)
+        out = shrink_one(quad, delta)
         if out is not None:
             assert len(out) == 4
             assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
@@ -400,7 +371,7 @@ any_quads = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), 
 
 class TestBatchedShrink:
     """``shrink_quads`` gives, quad by quad, the bits of the per-quad
-    ``reference_shrink`` it replaced, and ``shrink_convex`` is its batch of one."""
+    ``reference_shrink`` it replaced, alone or in a batch."""
 
     @given(
         st.lists(st.one_of(thin_parallelograms(), any_quads), min_size=1, max_size=8),
@@ -412,7 +383,7 @@ class TestBatchedShrink:
         for quad, shrunk, kept in zip(quads, out.tolist(), ok.tolist()):
             ref = reference_shrink(quad, delta)
             assert shrunk_bits(shrunk if kept else None) == shrunk_bits(ref)
-            assert shrunk_bits(shrink_convex(quad, delta)) == shrunk_bits(ref)
+            assert shrunk_bits(shrink_one(quad, delta)) == shrunk_bits(ref)
 
     def test_undecided_corner_goes_exact(self, monkeypatch):
         """A parallelogram 2*OVERLAP_SLACK + 1e-13 wide and 1e3 long near
@@ -434,7 +405,7 @@ class TestBatchedShrink:
             return calls[-1][-1]
 
         monkeypatch.setattr(geom, "_orient_exact", spy)
-        out = shrink_convex(quad, OVERLAP_SLACK)
+        out = shrink_one(quad, OVERLAP_SLACK)
         assert calls
         for a, b, c, verdict in calls:
             assert verdict == _fraction_orient(a, b, c)
@@ -607,7 +578,7 @@ class TestFilteredOverlapAgainstFractions:
         expected = reference_overlap(a, b)
         assert polygons_interior_overlap(a, b) == expected
         assert polygons_interior_overlap(b, a) == expected
-        sa, sb = shrink_convex(a, OVERLAP_SLACK), shrink_convex(b, OVERLAP_SLACK)
+        sa, sb = shrink_one(a, OVERLAP_SLACK), shrink_one(b, OVERLAP_SLACK)
         if sa is not None and sb is not None:
             expected = reference_overlap(sa, sb)
             assert polygons_interior_overlap(sa, sb) == expected
@@ -615,9 +586,9 @@ class TestFilteredOverlapAgainstFractions:
 
 
 class TestConvexInputsOnly:
-    """No non-convex shape reaches the predicate: shrink_convex raises
+    """No non-convex shape reaches the predicate: shrink_quads raises
     ValueError for a polygon that is not a quad (four left turns prove
-    convexity only for four vertices) and returns None for a non-convex quad."""
+    convexity only for four vertices) and drops a non-convex quad."""
 
     @pytest.mark.parametrize(
         "poly",
@@ -634,9 +605,9 @@ class TestConvexInputsOnly:
     def test_non_convex_raises(self, poly):
         if len(poly) != 4:
             with pytest.raises(ValueError):
-                shrink_convex(poly, OVERLAP_SLACK)
+                shrink_one(poly, OVERLAP_SLACK)
         else:
-            assert shrink_convex(poly, OVERLAP_SLACK) is None
+            assert shrink_one(poly, OVERLAP_SLACK) is None
 
 
 def test_normalize_angle_range():

@@ -8,16 +8,11 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import reference_oracle, reference_shrink
-from test_geom import _reference_contains, measure, shrunk_bits
+from test_geom import _reference_contains, shrunk_bits
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS, parse_theta
-from zonet.geom import (
-    circle_quad_arcs,
-    merge_arcs,
-    polygons_interior_overlap,
-    shortest_covering_arc,
-)
+from zonet.geom import circle_quad_arcs, polygons_interior_overlap
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     beta_of_r,
@@ -52,20 +47,20 @@ class TestBetaOfR:
             assert max(b for _, b in beta_profile(zone)) <= zone.alpha + 1e-9
 
     def test_matches_dense_membership_sampling(self):
-        """Event-driven arcs agree with brute-force point membership."""
+        """beta(r) is the span of the in-zone directions that brute-force
+        point membership finds, to within a sampling step at either end."""
         zone = planar_zone(10, math.radians(35))
+        m = 20000
         for r in (0.5, 1.7, 3.1):
-            arcs = arcs_over_every_rhomb(zone, r)
-            m = 20000
-            inside = 0
+            inside = []
             for i in range(m):
                 a = 2 * math.pi * (i + 0.5) / m
                 p = (r * math.cos(a), r * math.sin(a))
                 # the developed rhombs run clockwise: reversed, they run CCW
                 if any(_reference_contains(q[::-1], p) for q in zone.corners):
-                    inside += 1
-            assert measure(arcs) == pytest.approx(
-                2 * math.pi * inside / m, abs=5 * 2 * math.pi / m
+                    inside.append(a)
+            assert beta_of_r(zone, r) == pytest.approx(
+                max(inside) - min(inside), abs=2 * 2 * math.pi / m
             )
 
     def test_sample_radii_cover_every_event_interval(self):
@@ -77,10 +72,45 @@ class TestBetaOfR:
             assert any(a < r < b for r in rs)
 
 
+class TestZoneBelowPole:
+    """The premise of beta as a span: the zone lies below o, so every arc of
+    C(r) inside it lies in the directions [pi, 2 pi]."""
+
+    @given(
+        st.integers(3, 64),
+        st.one_of(st.just(0.0), st.floats(1e-12, math.radians(89.9999))),
+        st.one_of(st.floats(1e-9, 1.05), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_arc_lies_in_the_lower_half_plane(self, n, theta, pick):
+        """Every corner has y <= 0, with y = 0 only at o and (1, 0), the
+        ends of R_1's pole-side edge; every arc is within [pi, 2 pi].  The
+        radius is a share of the zone's farthest corner distance (a float
+        pick) or a sampled event radius or neighbour (an integer pick)."""
+        zone = planar_zone(n, theta)
+        for k, quad in enumerate(zone.corners):
+            for j, (_, y) in enumerate(quad):
+                assert y < 0.0 or (y == 0.0 and k == 0 and j < 2), (k, j, y)
+        if isinstance(pick, int):
+            radii = sample_radii(zone)
+            r = radii[pick % len(radii)]
+        else:
+            r = pick * max(radius for _, radius in zone.radius_ranges)
+        for table in zone.circle_tables:
+            for start, end in circle_quad_arcs(r, table):
+                assert math.pi <= start < end <= 2.0 * math.pi, (r, start, end)
+
+
+def span(arcs):
+    """From the first start to the last end of ``arcs``, None for no arcs:
+    beta, since every arc of C(r) in a zone lies in the directions [pi, 2 pi]."""
+    return max(e for _, e in arcs) - min(s for s, _ in arcs) if arcs else None
+
+
 def arcs_over_every_rhomb(zone, r):
-    """The merged arcs of C(r) inside the zone, from every rhomb's
-    ``circle_table`` with no radius-range filter."""
-    return merge_arcs([a for table in zone.circle_tables for a in circle_quad_arcs(r, table)])
+    """The arcs of C(r) inside the zone, from every rhomb's ``circle_table``
+    with no radius-range filter."""
+    return [a for table in zone.circle_tables for a in circle_quad_arcs(r, table)]
 
 
 def reference_profile(zone):
@@ -95,7 +125,7 @@ def reference_profile(zone):
         for (dmin, dmax), quad in zip(zone.radius_ranges, zone.corners):
             if dmin - 1e-12 <= r <= dmax + 1e-12:
                 pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, quad))
-        b = shortest_covering_arc(merge_arcs(pieces))
+        b = span(pieces)
         if b is not None:
             out.append((r, b))
     return out
@@ -118,7 +148,7 @@ class TestProfileMatchesReference:
 class TestExactRangeFilter:
     """Choosing the rhombs C(r) can meet by their exact [min, max] distance
     from o drops no arc: at a radius at an end of a rhomb's range, C(r)
-    only touches the rhomb, and a touch adds no length to the covering arc."""
+    only touches the rhomb, and a touch gives no arc."""
 
     @pytest.mark.parametrize(
         "theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-6rad", "1e-12rad")
@@ -129,7 +159,7 @@ class TestExactRangeFilter:
             expected = [
                 (r, b)
                 for r in sample_radii(zone)
-                if (b := shortest_covering_arc(arcs_over_every_rhomb(zone, r))) is not None
+                if (b := span(arcs_over_every_rhomb(zone, r))) is not None
             ]
             assert beta_profile(zone) == expected, n
 
