@@ -4,15 +4,15 @@ Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-ed
 units.  ``circle_quad_arcs`` returns the arcs of one circle about the origin
 inside one quad; ``verify`` spans the arcs it collects over a zone's quads.
 ``circle_table`` computes a quad's per-edge circle-crossing coefficients once,
-so only the radius-dependent terms are computed per call.  ``shrink_quads``
-shrinks a whole array of quads in one pass and decides, once per quad, that
-each result is a strictly convex CCW quad; the overlap predicate for two such
-quads is then a bare separating-axis test.
-Both use one filtered float orientation with an exact rational fallback: each
-orientation is decided in floating point when its error bound allows and
-otherwise on the binary-float values embedded losslessly as rationals, so
-"touching" versus "overlapping" is decided exactly with respect to the
-coordinates actually computed.
+so only the radius-dependent terms are computed per call.  ``shrink_quad``
+shrinks one quad and decides that the result is a strictly convex CCW quad;
+the overlap predicate for two such quads is then a bare separating-axis test.
+Both decide every turn with the one filtered float orientation ``_orient``,
+which falls back to exact rationals: each orientation is decided in floating
+point when its error bound allows and otherwise on the binary-float values
+embedded losslessly as rationals, so "touching" versus "overlapping" is
+decided exactly with respect to the coordinates actually computed.  The
+module uses no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +36,7 @@ CONTAIN_TOL = 1e-12
 #: a quad whose doubled signed area is at most this in magnitude is
 #: degenerate: it has no circle table and shrinks to nothing
 DEGENERATE_AREA = 1e-14
-#: ``shrink_quads`` drops a quad with an edge shorter than this, or with two
+#: ``shrink_quad`` drops a quad with an edge shorter than this, or with two
 #: adjacent edge lines whose unit normals have a cross product below
 #: ``SHRINK_MIN_DET`` (parallel lines have no intersection to shrink to)
 SHRINK_MIN_EDGE = 1e-15
@@ -120,60 +118,56 @@ def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float
     return True
 
 
-#: index of each quad corner's successor and predecessor
-_NEXT = np.array([1, 2, 3, 0])
-_PREV = np.array([3, 0, 1, 2])
+def shrink_quad(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
+    """Offset every edge of the convex quad ``vs`` inward by ``delta``.
 
-
-def shrink_quads(quads: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offset every edge of each convex quad in ``quads`` (N, 4, 2) inward by ``delta``.
-
-    Returns ``(out, ok)``: where ``ok[k]``, ``out[k]`` holds quad k's shrunk
-    vertices (edge-line intersections) in CCW order; elsewhere quad k was too
-    thin to survive the offset and ``out[k]`` is meaningless.  Used to ignore
+    Returns the shrunk vertices (edge-line intersections) in CCW order, or
+    None when the quad is too thin to survive the offset.  Used to ignore
     hairline contacts: two convex regions overlap by more than a sliver of
     width ~delta iff their shrunk versions still intersect.
 
-    One array pass over all quads, with the float operations of a per-quad
-    loop in the same order, so each result is the same bits the quad alone
-    gives; edge lengths come from ``math.hypot``.  Every result turns
-    strictly left at each of its four corners, decided by the filtered float
-    orientation with ``_orient_exact`` for each corner the filter cannot
-    decide, so it is a simple, strictly convex, CCW quad:
+    Every result turns strictly left at each of its four corners, decided
+    by ``_orient``, so it is a simple, strictly convex, CCW quad:
     ``polygons_interior_overlap`` relies on that.  Four left turns prove
     convexity for four vertices only (a pentagram turns left at every
     corner), so any other shape raises ValueError.
     """
-    q = np.asarray(quads, dtype=float)
-    if q.ndim != 3 or q.shape[1:] != (4, 2):
-        raise ValueError("shrink_quads takes an (N, 4, 2) array of quads")
-    with np.errstate(all="ignore"):  # rejected quads may divide by zero
-        area2 = _area2(q[..., 0], q[..., 1])
-        ok = ~(np.abs(area2) <= DEGENERATE_AREA)
-        q = np.where((area2 < 0.0)[:, None, None], q[:, ::-1], q)  # to CCW
-        x, y = q[..., 0], q[..., 1]
-        ex, ey = x[:, _NEXT] - x, y[:, _NEXT] - y
-        length = np.array(
-            list(map(math.hypot, ex.ravel().tolist(), ey.ravel().tolist()))
-        ).reshape(ex.shape)
-        ok &= ~(length < SHRINK_MIN_EDGE).any(axis=1)
-        # edge line i (outward normal for CCW order): nx*x + ny*y = c
-        nx, ny = ey / length, -ex / length
-        c = (nx * x + ny * y) - delta
+    if len(vs) != 4:
+        raise ValueError("shrink_quad takes quads only")
+    pts = list(vs)
+    area2 = _signed_area2(pts)
+    if abs(area2) <= DEGENERATE_AREA:
+        return None
+    if area2 < 0.0:
+        pts.reverse()
+    lines = []  # (nx, ny, c) with nx*x + ny*y = c on the shifted edge line
+    for i in range(4):
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % 4]
+        ex, ey = x1 - x0, y1 - y0
+        length = math.hypot(ex, ey)
+        if length < SHRINK_MIN_EDGE:
+            return None
+        nx, ny = ey / length, -ex / length  # outward normal for CCW order
+        lines.append((nx, ny, nx * x0 + ny * y0 - delta))
+    out = []
+    for (pnx, pny, pc), (nx, ny, c) in zip(lines[-1:] + lines[:-1], lines):
         # vertex i is where edge lines i - 1 and i meet
-        pnx, pny, pc = nx[:, _PREV], ny[:, _PREV], c[:, _PREV]
         det = pnx * ny - pny * nx
-        ok &= ~(np.abs(det) < SHRINK_MIN_DET).any(axis=1)
-        ox = (pc * ny - c * pny) / det
-        oy = (pnx * c - nx * pc) / det
-        ok &= ~(_area2(ox, oy) <= DEGENERATE_AREA)
-        _reject_right_turns(ox, oy, ok)
-        # over-shrinking past the inradius produces a point-reflected phantom
-        # that is still convex and CCW; it is exposed by violating the
-        # shifted lines: side[k, vertex, line]
-        side = nx[:, None, :] * ox[:, :, None] + ny[:, None, :] * oy[:, :, None]
-        ok &= ~(side > (c + PHANTOM_SLACK)[:, None, :]).any(axis=(1, 2))
-    return np.stack((ox, oy), axis=-1), ok
+        if abs(det) < SHRINK_MIN_DET:
+            return None
+        out.append(((pc * ny - c * pny) / det, (pnx * c - nx * pc) / det))
+    if _signed_area2(out) <= DEGENERATE_AREA:
+        return None
+    if any(_orient(out[i - 2], out[i - 1], out[i]) <= 0 for i in range(4)):
+        return None
+    # over-shrinking past the inradius produces a point-reflected phantom
+    # that is still convex and CCW; it is exposed by violating the shifted
+    # lines
+    for x, y in out:
+        for nx, ny, c in lines:
+            if nx * x + ny * y > c + PHANTOM_SLACK:
+                return None
+    return out
 
 
 def _signed_area2(vs: Sequence[Point2]) -> float:
@@ -184,37 +178,6 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
         x1, y1 = vs[(i + 1) % n]
         s += x0 * y1 - x1 * y0
     return s
-
-
-def _area2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each quad, summed from 0.0 edge by edge as
-    ``_signed_area2`` sums it."""
-    t = x * y[:, _NEXT] - x[:, _NEXT] * y
-    return 0.0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
-
-
-def _reject_right_turns(x: np.ndarray, y: np.ndarray, ok: np.ndarray) -> None:
-    """Clear ``ok[k]`` unless quad k turns strictly left at every corner.
-
-    ``_orient`` over all corners (i - 2, i - 1, i) at once: the float filter
-    decides most, and each corner it cannot decide of a quad still in ``ok``
-    goes to ``_orient_exact``.
-    """
-    ax, ay = x[:, _PREV[_PREV]], y[:, _PREV[_PREV]]
-    bx, by = x[:, _PREV], y[:, _PREV]
-    left = (bx - ax) * (y - ay)
-    right = (by - ay) * (x - ax)
-    det = left - right
-    bound = _CCW_ERRBOUND * (np.abs(left) + np.abs(right)) + _UNDERFLOW_ERR
-    ok &= ~(det < -bound).any(axis=1)
-    undecided = ~((det > bound) | (det < -bound)) & ok[:, None]
-    for k, i in np.argwhere(undecided).tolist():
-        if ok[k] and _orient_exact(
-            (float(ax[k, i]), float(ay[k, i])),
-            (float(bx[k, i]), float(by[k, i])),
-            (float(x[k, i]), float(y[k, i])),
-        ) <= 0:
-            ok[k] = False
 
 
 def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
@@ -327,9 +290,9 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
 
 
 def polygons_interior_overlap(a: Sequence[Point2], b: Sequence[Point2]) -> bool:
-    """True iff the open interiors of two ``shrink_quads`` results intersect.
+    """True iff the open interiors of two ``shrink_quad`` results intersect.
 
-    Both inputs must be strictly convex CCW quads, as ``shrink_quads``
+    Both inputs must be strictly convex CCW quads, as ``shrink_quad``
     returns them.  Boundary-only contact (shared edges, shared vertices)
     returns False.  Every orientation is exact for the float inputs (a
     filtered float evaluation with a rational fallback), so sliver overlaps

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import TWO_PI, circle_quad_arcs, polygons_interior_overlap, shrink_quads
+from .geom import TWO_PI, circle_quad_arcs, polygons_interior_overlap, shrink_quad
 from .unfold import Net, PlanarZone, assemble_net, planar_zone
 
 BETA_TOL = 1e-9
@@ -250,15 +250,16 @@ def net_overlap_oracle(net: Net) -> list[tuple[tuple[int, int], tuple[int, int]]
     """All pairs of rhombs from different zones whose interiors overlap.
 
     Every rhomb of ``net.corners`` is first shrunk inward by
-    ``OVERLAP_SLACK`` in one ``shrink_quads`` pass, which decides exactly,
-    once per rhomb, that the result is a strictly convex CCW quad (or drops
-    it), so each candidate pair is tested with a bare exact separating-axis
-    predicate (a filtered float predicate with an exact rational fallback).  The shrink absorbs
-    the ~1e-16 placement noise of the floating-point net: zones that touch
-    along exactly-shared boundaries in the ideal net (the pole-edge fan; the
-    theta = 0 chain abutments) would otherwise produce hairline "overlaps"
-    whose presence depends on rounding direction.  Real overlaps are many
-    orders of magnitude wider than the slack and are always reported.
+    ``OVERLAP_SLACK`` with ``shrink_quad``, which decides exactly, once per
+    rhomb, that the result is a strictly convex CCW quad (or drops it), so
+    each candidate pair is tested with a bare exact separating-axis
+    predicate (a filtered float predicate with an exact rational fallback).
+    The shrink absorbs the ~1e-16 placement noise of the floating-point
+    net: zones that touch along exactly-shared boundaries in the ideal net
+    (the pole-edge fan; the theta = 0 chain abutments) would otherwise
+    produce hairline "overlaps" whose presence depends on rounding
+    direction.  Real overlaps are many orders of magnitude wider than the
+    slack and are always reported.
 
     The candidates are the cross-zone pairs whose open bounding boxes
     overlap, found by sort-and-prune; overlap of the shrunk interiors forces
@@ -268,14 +269,18 @@ def net_overlap_oracle(net: Net) -> list[tuple[tuple[int, int], tuple[int, int]]
     finds the hits whose first zone is 0 and counts the rest.
     """
     per_zone = net.corners.shape[1]
-    shrunk, ok = shrink_quads(net.corners.reshape(-1, 4, 2), OVERLAP_SLACK)
-    keep = np.flatnonzero(ok)
-    quads = shrunk[keep]
-    first, second = _candidate_pairs(quads.min(axis=1), quads.max(axis=1), keep // per_zone)
-    labels = keep.tolist()
+    labels, quads = [], []
+    for label, quad in enumerate(net.corners.reshape(-1, 4, 2).tolist()):
+        shrunk = shrink_quad(quad, OVERLAP_SLACK)
+        if shrunk is not None:
+            labels.append(label)
+            quads.append(shrunk)
+    pts = np.array(quads).reshape(-1, 4, 2)
+    first, second = _candidate_pairs(pts.min(axis=1), pts.max(axis=1), np.array(labels) // per_zone)
     return [
         (divmod(labels[i], per_zone), divmod(labels[j], per_zone))
-        for i, j in _overlapping(quads, zip(first.tolist(), second.tolist()))
+        for i, j in zip(first.tolist(), second.tolist())
+        if polygons_interior_overlap(quads[i], quads[j])
     ]
 
 
@@ -297,9 +302,10 @@ def orbit_overlap_oracle(net: Net) -> list[tuple[int, int, int]]:
     over the n - 1 ranges; for such a pair, rhomb b turned by k * alpha can
     only meet rhomb a where their arcs of directions from o meet, which
     bounds k * alpha to one interval modulo 2 pi, and k to at most two
-    integer ranges since (n - 1) * alpha < 2 pi.  Each candidate is shrunk
-    and tested exactly, as ``net_overlap_oracle`` tests it, on the net's
-    own corners ``net.corners[0, a]`` and ``net.corners[k, b]``.
+    integer ranges since (n - 1) * alpha < 2 pi.  Each rhomb a candidate
+    names is shrunk once with ``shrink_quad``, on the net's own corners
+    ``net.corners[0, a]`` or ``net.corners[k, b]``, and each candidate is
+    tested exactly, as ``net_overlap_oracle`` tests it.
     """
     n, alpha = net.n, net.alpha
     zone0 = net.zone(0)
@@ -315,18 +321,14 @@ def orbit_overlap_oracle(net: Net) -> list[tuple[int, int, int]]:
             if b != a:
                 candidates += [(b, k, a) for k in _shifts(arcs[b], arcs[a], alpha, n)]
     candidates.sort()
-    # zone 0's rhombs, then each zone-k rhomb some candidate names
-    rows = {(0, a): a for a in range(n - 1)}
-    for _, k, b in candidates:
-        rows.setdefault((k, b), len(rows))
-    ks, bs = zip(*rows)
-    shrunk, ok = shrink_quads(net.corners[ks, bs], OVERLAP_SLACK)
-    live = ok.tolist()
-    tested = {}  # (row of a, row of b in zone k) -> (a, k, b), in candidate order
+    named = {(0, a) for a, _, _ in candidates} | {(k, b) for _, k, b in candidates}
+    shrunk = {zr: shrink_quad(net.corners[zr].tolist(), OVERLAP_SLACK) for zr in named}
+    hits = []
     for a, k, b in candidates:
-        if live[a] and live[rows[k, b]]:
-            tested[a, rows[k, b]] = (a, k, b)
-    return [tested[pair] for pair in _overlapping(shrunk, tested)]
+        p, q = shrunk[0, a], shrunk[k, b]
+        if p is not None and q is not None and polygons_interior_overlap(p, q):
+            hits.append((a, k, b))
+    return hits
 
 
 def _shifts(arc_a: tuple[float, float], arc_b: tuple[float, float], alpha: float, n: int):
@@ -343,13 +345,6 @@ def _shifts(arc_a: tuple[float, float], arc_b: tuple[float, float], alpha: float
         first = max(1, math.ceil((lo + m * TWO_PI) / alpha))
         last = min(n - 1, math.floor((hi + m * TWO_PI) / alpha))
         yield from range(first, last + 1)
-
-
-def _overlapping(shrunk: np.ndarray, pairs) -> list[tuple[int, int]]:
-    """The (i, j) of ``pairs``, in order, whose ``shrunk`` quads i and j
-    (``shrink_quads`` results that survived) have overlapping interiors."""
-    pts = shrunk.tolist()
-    return [(i, j) for i, j in pairs if polygons_interior_overlap(pts[i], pts[j])]
 
 
 def _candidate_pairs(

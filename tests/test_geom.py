@@ -3,11 +3,9 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import reference_shrink
 
 from zonet import geom
 from zonet.geom import (
@@ -16,7 +14,7 @@ from zonet.geom import (
     covering_arc_of_angles,
     normalize_angle,
     polygons_interior_overlap,
-    shrink_quads,
+    shrink_quad,
 )
 from zonet.verify import OVERLAP_SLACK
 
@@ -269,85 +267,17 @@ class TestCachedKernelMatchesReference:
         assert circle_quad_arcs(1.0, None) == ()
 
 
-def shrink_one(vs, delta):
-    """``shrink_quads`` on the one quad ``vs``: its shrunk vertices, or None."""
-    out, ok = shrink_quads(np.array([vs], dtype=float), delta)
-    return [tuple(p) for p in out[0].tolist()] if ok[0] else None
-
-
-class TestShrinkConvex:
-    def test_square_shrinks_to_inner_square(self):
-        out = shrink_one(UNIT_SQUARE, 0.1)
-        assert out is not None
-        xs = sorted(p[0] for p in out)
-        assert xs[0] == pytest.approx(0.1, abs=1e-12)
-        assert xs[-1] == pytest.approx(0.9, abs=1e-12)
-
-    def test_orientation_independent(self):
-        cw = tuple(reversed(UNIT_SQUARE))
-        out = shrink_one(cw, 0.1)
-        assert out is not None
-        assert min(p[0] for p in out) == pytest.approx(0.1, abs=1e-12)
-
-    def test_overshrink_returns_none(self):
-        assert shrink_one(UNIT_SQUARE, 0.6) is None
-
-    def test_degenerate_returns_none(self):
-        flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
-        assert shrink_one(flat, 1e-9) is None
-
-    def test_straight_corner_returns_none(self):
-        """A quad of area 1 whose corner (1, 0) lies on the straight line
-        from (0, 0) to (2, 0): the two edge lines there are parallel, so the
-        shrunk corner does not exist.  Without ``SHRINK_MIN_DET`` the shrink
-        divides by their zero determinant and the NaN corner reaches
-        ``_orient_exact``."""
-        assert shrink_one([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], 0.01) is None
-
-    @given(st.floats(0.3, 3.0), st.floats(0.2, 1.3), st.floats(-3.0, 3.0))
-    @settings(max_examples=100, deadline=None)
-    def test_shrunk_quad_stays_inside(self, w, skew, ang):
-        c, s = math.cos(ang), math.sin(ang)
-
-        def rot(p):
-            return (c * p[0] - s * p[1], s * p[0] + c * p[1])
-
-        quad = tuple(rot(p) for p in ((0.0, 0.0), (w, 0.0), (w + skew, 1.0), (skew, 1.0)))
-        out = shrink_one(quad, 1e-3)
-        assert out is not None
-        # every shrunk vertex lies strictly inside the original parallelogram
-        for p in out:
-            assert polygons_interior_overlap(quad, [(p[0] - 1e-9, p[1] - 1e-9),
-                                                    (p[0] + 1e-9, p[1] - 1e-9),
-                                                    (p[0] + 1e-9, p[1] + 1e-9),
-                                                    (p[0] - 1e-9, p[1] + 1e-9)])
-
-    @given(
-        st.floats(1e-8, math.pi - 1e-8),
-        st.floats(0.0, TWO_PI),
-        st.floats(0.1, 3.0),
-        st.floats(0.1, 3.0),
-        st.sampled_from((1e-9, 1e-3)),
-        st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_result_is_strictly_convex_ccw(self, corner, ang, lu, lv, delta, cw):
-        """Every quad shrink_quads returns turns strictly left at each
-        corner, checked in Fraction arithmetic independently of _orient."""
-        u = (lu * math.cos(ang), lu * math.sin(ang))
-        v = (lv * math.cos(ang + corner), lv * math.sin(ang + corner))
-        quad = [(0.0, 0.0), u, (u[0] + v[0], u[1] + v[1]), v]
-        if cw:
-            quad.reverse()
-        out = shrink_one(quad, delta)
-        if out is not None:
-            assert len(out) == 4
-            assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
-
-
-def shrunk_bits(quad):
-    """A shrunk quad's coordinates as float.hex strings: -0.0 differs from 0.0."""
-    return None if quad is None else [(float(x).hex(), float(y).hex()) for x, y in quad]
+@st.composite
+def parallelograms(draw):
+    """Parallelograms of any corner angle, side lengths 0.1..3 and
+    orientation, in either vertex order."""
+    corner = draw(st.floats(1e-8, math.pi - 1e-8))
+    ang = draw(st.floats(0.0, TWO_PI))
+    lu, lv = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+    u = (lu * math.cos(ang), lu * math.sin(ang))
+    v = (lv * math.cos(ang + corner), lv * math.sin(ang + corner))
+    quad = [(0.0, 0.0), u, (u[0] + v[0], u[1] + v[1]), v]
+    return quad[::-1] if draw(st.booleans()) else quad
 
 
 @st.composite
@@ -369,21 +299,71 @@ def thin_parallelograms(draw):
 any_quads = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=4, max_size=4)
 
 
-class TestBatchedShrink:
-    """``shrink_quads`` gives, quad by quad, the bits of the per-quad
-    ``reference_shrink`` it replaced, alone or in a batch."""
+class TestShrinkConvex:
+    def test_square_shrinks_to_inner_square(self):
+        out = shrink_quad(UNIT_SQUARE, 0.1)
+        assert out is not None
+        xs = sorted(p[0] for p in out)
+        assert xs[0] == pytest.approx(0.1, abs=1e-12)
+        assert xs[-1] == pytest.approx(0.9, abs=1e-12)
+
+    def test_orientation_independent(self):
+        cw = tuple(reversed(UNIT_SQUARE))
+        out = shrink_quad(cw, 0.1)
+        assert out is not None
+        assert min(p[0] for p in out) == pytest.approx(0.1, abs=1e-12)
+
+    def test_overshrink_returns_none(self):
+        assert shrink_quad(UNIT_SQUARE, 0.6) is None
+
+    def test_degenerate_returns_none(self):
+        flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
+        assert shrink_quad(flat, 1e-9) is None
+
+    def test_straight_corner_returns_none(self):
+        """A quad of area 1 whose corner (1, 0) lies on the straight line
+        from (0, 0) to (2, 0): the two edge lines there are parallel, so the
+        shrunk corner does not exist.  Without ``SHRINK_MIN_DET`` the shrink
+        divides by their zero determinant and the NaN corner reaches
+        ``_orient_exact``."""
+        assert shrink_quad([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], 0.01) is None
+
+    @given(st.floats(0.3, 3.0), st.floats(0.2, 1.3), st.floats(-3.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_shrunk_quad_stays_inside(self, w, skew, ang):
+        c, s = math.cos(ang), math.sin(ang)
+
+        def rot(p):
+            return (c * p[0] - s * p[1], s * p[0] + c * p[1])
+
+        quad = tuple(rot(p) for p in ((0.0, 0.0), (w, 0.0), (w + skew, 1.0), (skew, 1.0)))
+        out = shrink_quad(quad, 1e-3)
+        assert out is not None
+        # every shrunk vertex lies strictly inside the original parallelogram
+        for p in out:
+            assert polygons_interior_overlap(quad, [(p[0] - 1e-9, p[1] - 1e-9),
+                                                    (p[0] + 1e-9, p[1] - 1e-9),
+                                                    (p[0] + 1e-9, p[1] + 1e-9),
+                                                    (p[0] - 1e-9, p[1] + 1e-9)])
 
     @given(
-        st.lists(st.one_of(thin_parallelograms(), any_quads), min_size=1, max_size=8),
+        st.one_of(parallelograms(), thin_parallelograms(), any_quads),
         st.sampled_from((OVERLAP_SLACK, 1e-3, 0.3)),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_reference(self, quads, delta):
-        out, ok = shrink_quads(np.array(quads), delta)
-        for quad, shrunk, kept in zip(quads, out.tolist(), ok.tolist()):
-            ref = reference_shrink(quad, delta)
-            assert shrunk_bits(shrunk if kept else None) == shrunk_bits(ref)
-            assert shrunk_bits(shrink_one(quad, delta)) == shrunk_bits(ref)
+    @settings(max_examples=600, deadline=None)
+    def test_result_is_strictly_convex_ccw(self, quad, delta):
+        """Every quad shrink_quad returns turns strictly left at each
+        corner, checked in Fraction arithmetic independently of _orient."""
+        out = shrink_quad(quad, delta)
+        if out is not None:
+            assert len(out) == 4
+            assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
+
+    def test_shrunk_area_guard(self):
+        """A rectangle 3e-15 wider than twice the slack shrinks to a sliver
+        whose doubled area is within ``DEGENERATE_AREA``: it is dropped."""
+        w = 2.0 * OVERLAP_SLACK + 3e-15
+        assert shrink_quad([(0.0, 0.0), (1.0, 0.0), (1.0, w), (0.0, w)], OVERLAP_SLACK) is None
 
     def test_undecided_corner_goes_exact(self, monkeypatch):
         """A parallelogram 2*OVERLAP_SLACK + 1e-13 wide and 1e3 long near
@@ -405,7 +385,7 @@ class TestBatchedShrink:
             return calls[-1][-1]
 
         monkeypatch.setattr(geom, "_orient_exact", spy)
-        out = shrink_one(quad, OVERLAP_SLACK)
+        out = shrink_quad(quad, OVERLAP_SLACK)
         assert calls
         for a, b, c, verdict in calls:
             assert verdict == _fraction_orient(a, b, c)
@@ -415,7 +395,6 @@ class TestBatchedShrink:
         assert any(d < 0.0 and v == 1 for d, (*_, v) in zip(float_dets, calls))
         assert out is not None
         assert all(_fraction_orient(out[i - 2], out[i - 1], out[i]) > 0 for i in range(4))
-        assert shrunk_bits(out) == shrunk_bits(reference_shrink(quad, OVERLAP_SLACK))
 
 
 class TestExactOverlap:
@@ -578,7 +557,7 @@ class TestFilteredOverlapAgainstFractions:
         expected = reference_overlap(a, b)
         assert polygons_interior_overlap(a, b) == expected
         assert polygons_interior_overlap(b, a) == expected
-        sa, sb = shrink_one(a, OVERLAP_SLACK), shrink_one(b, OVERLAP_SLACK)
+        sa, sb = shrink_quad(a, OVERLAP_SLACK), shrink_quad(b, OVERLAP_SLACK)
         if sa is not None and sb is not None:
             expected = reference_overlap(sa, sb)
             assert polygons_interior_overlap(sa, sb) == expected
@@ -586,7 +565,7 @@ class TestFilteredOverlapAgainstFractions:
 
 
 class TestConvexInputsOnly:
-    """No non-convex shape reaches the predicate: shrink_quads raises
+    """No non-convex shape reaches the predicate: shrink_quad raises
     ValueError for a polygon that is not a quad (four left turns prove
     convexity only for four vertices) and drops a non-convex quad."""
 
@@ -605,9 +584,9 @@ class TestConvexInputsOnly:
     def test_non_convex_raises(self, poly):
         if len(poly) != 4:
             with pytest.raises(ValueError):
-                shrink_one(poly, OVERLAP_SLACK)
+                shrink_quad(poly, OVERLAP_SLACK)
         else:
-            assert shrink_one(poly, OVERLAP_SLACK) is None
+            assert shrink_quad(poly, OVERLAP_SLACK) is None
 
 
 def test_normalize_angle_range():

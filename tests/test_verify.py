@@ -7,8 +7,8 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_oracle, reference_shrink
-from test_geom import _reference_contains, shrunk_bits
+from reference import reference_oracle
+from test_geom import _reference_contains
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS, parse_theta
@@ -459,11 +459,10 @@ class TestOrbitOracle:
 
 
 class TestOracleMatchesReference:
-    """Sort-and-prune over the batched shrink asks the predicate about the
-    same pairs of shrunk quads, in the same order, as the per-row
-    ``reference_oracle``, so it reports the same hits in the same order.
-    The shrunk quads are the reference's bits (``test_shrink_*`` and
-    ``test_geom.TestBatchedShrink``), so float equality suffices here."""
+    """Sort-and-prune asks the predicate about the same pairs of shrunk
+    quads, in the same order, as the per-row ``reference_oracle``, so it
+    reports the same hits in the same order.  Both shrink with
+    ``geom.shrink_quad``, so float equality suffices here."""
 
     @staticmethod
     def assert_same(monkeypatch, net):
@@ -496,16 +495,6 @@ class TestOracleMatchesReference:
         hits = self.assert_same(monkeypatch, net)
         assert hits == []
         assert_orbit_matches_all_pairs(net, hits)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("n", (*range(3, 33), 64))
-    def test_shrink_is_bit_identical_over_default_thetas(self, n):
-        for text in DEFAULT_THETAS.split(","):
-            quads = assemble_net(n, math.radians(float(text))).corners.reshape(-1, 4, 2)
-            out, ok = verify.shrink_quads(quads, verify.OVERLAP_SLACK)
-            for quad, shrunk, kept in zip(quads.tolist(), out.tolist(), ok.tolist()):
-                expected = shrunk_bits(reference_shrink(quad, verify.OVERLAP_SLACK))
-                assert shrunk_bits(shrunk if kept else None) == expected
 
 
 class TestRunVerification:
