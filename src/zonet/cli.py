@@ -6,9 +6,11 @@ crescent (the continuous-n ratio table), subtended (per-rhomb angles).
 Each sweep row is a projection of the same report `verify` prints, so a
 row's pass is the `verify` verdict over the same checks.
 
-All outputs are deterministic: fixed float formatting, rows sorted by
-parameters, and a sweep that merges worker results in submission order, so
-byte-identical files come out regardless of --jobs.
+All outputs are deterministic: fixed float formatting and rows sorted by
+parameters. A sweep at --jobs k splits its sorted cells into k fixed
+strided shares, share i being every k-th cell from cell i, and puts each
+share's rows back in their cells' places, so byte-identical files come out
+regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ import argparse
 import csv
 import json
 import math
+import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench's timed pool patches this name
 from contextlib import contextmanager
 from functools import cache
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -192,9 +197,73 @@ def _sweep_cell(cell: tuple[int, str]) -> list:
     ]
 
 
+def _send_share(share: list[tuple[int, str]], sink: BinaryIO) -> NoReturn:
+    """A forked child's whole life: compute one share's rows, or the
+    exception the share raised, pickle it into `sink` and leave by
+    os._exit, so the child never returns into the caller's frames, never
+    flushes the stdio buffers it inherited and runs no atexit handler."""
+    code = 1
+    try:
+        try:
+            result: list | Exception = [_sweep_cell(c) for c in share]
+        except Exception as exc:
+            result = exc
+        pickle.dump(result, sink)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _sweep_rows(cells: list[tuple[int, str]], jobs: int) -> list[list]:
+    """The sweep row of every cell, in cell order, from `jobs` static shares.
+
+    Share i is cells[i::jobs]. The calling process computes share 0 while
+    each other share runs in a child made by os.fork(), which sends its
+    rows back over its own pipe. The caller reads every pipe, then reaps
+    every child, then re-raises the first exception a share raised. On the
+    way out it kills and reaps each child it has not reaped, so no process
+    outlives the sweep, whether it passed, raised or was interrupted.
+    """
+    pids: list[int] = []  # the children not yet reaped
+    sources: list[BinaryIO] = []  # the read end of each child's pipe
+    try:
+        for i in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            sources.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(cells[i::jobs], sink)
+            pids.append(pid)
+        rows: list = [None] * len(cells)
+        rows[::jobs] = [_sweep_cell(c) for c in cells[::jobs]]
+        payloads = [source.read() for source in sources]
+        statuses = []
+        while pids:
+            statuses.append(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+        for i, (payload, status) in enumerate(zip(payloads, statuses), start=1):
+            if status != 0:
+                raise RuntimeError(f"sweep share {i} ended without its rows (wait status {status})")
+            share = pickle.loads(payload)
+            if isinstance(share, Exception):
+                raise share
+            rows[i::jobs] = share
+        return rows
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for source in sources:
+            source.close()
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError("--jobs above 1 needs os.fork, which this platform lacks")
     thetas = [t.strip() for t in args.thetas.split(",") if t.strip()]
     cells = [
         (n, t)
@@ -203,13 +272,8 @@ def cmd_sweep(args) -> int:
     ]
     if not cells:
         raise ValueError("the sweep grid has no cells: check --n-min, --n-max and --thetas")
-    # the pool forks all its workers at the first submit: never more than cells
-    jobs = min(args.jobs, len(cells))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=4))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    # a share per process: never more processes than cells
+    rows = _sweep_rows(cells, min(args.jobs, len(cells)))
     header = ["n", "theta_deg", "alpha_deg", "max_beta_deg", "margin", "overlap_pairs", "pass"]
     _write_csv(args.csv, header, rows)
     return 0 if all(r[-1] == "pass" for r in rows) else 1

@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,6 +20,12 @@ from zonet.zonohedron import Zonohedron
 
 def run(argv):
     return main(argv)
+
+
+def assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseTheta:
@@ -293,38 +303,106 @@ class TestSweep:
         assert not out.exists()
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        grid = ["--n-min", "3", "--n-max", "6", "--thetas", "0,1,50"]
+        """15 cells: at --jobs 2 and 4 the strided shares differ in size."""
+        grid = ["--n-min", "3", "--n-max", "7", "--thetas", "0,1,50"]
+        a = tmp_path / "1.csv"
         assert run(["sweep", *grid, "--jobs", "1", "--csv", str(a)]) == 0
-        assert run(["sweep", *grid, "--jobs", "4", "--csv", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for jobs in ("2", "3", "4", "5"):
+            b = tmp_path / f"{jobs}.csv"
+            assert run(["sweep", *grid, "--jobs", jobs, "--csv", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes(), jobs
+        assert_no_children()
 
-    def test_pool_never_outnumbers_cells(self, monkeypatch, tmp_path):
-        """The pool starts every worker at once, so --jobs above the cell
-        count must not reach it; an in-process stand-in records the size."""
-        sizes = []
+    def test_forks_never_outnumber_cells(self, monkeypatch, tmp_path):
+        """The caller computes share 0, so --jobs 1 forks nothing, and --jobs
+        above the cell count forks one child for each other cell."""
+        forks = []
+        real_fork = os.fork
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         grid = ["--n-min", "5", "--n-max", "5", "--thetas", "0,20"]
         assert run(["sweep", *grid, "--jobs", "1", "--csv", str(a)]) == 0
-        assert sizes == []
+        assert forks == []
         assert run(["sweep", *grid, "--jobs", "64", "--csv", str(b)]) == 0
-        assert sizes == [2]
+        assert len(forks) == 1
         assert a.read_bytes() == b.read_bytes()
+        assert_no_children()
+
+    def test_error_in_a_child_share_exits_2(self, tmp_path, capsys):
+        """95 deg sorts after 20 deg, so a forked child computes that cell."""
+        out = tmp_path / "s.csv"
+        grid = ["--n-min", "3", "--n-max", "3", "--thetas", "20,95", "--jobs", "2"]
+        assert run(["sweep", *grid, "--csv", str(out)]) == 2
+        assert "zonet: error: theta" in capsys.readouterr().err
+        assert not out.exists()
+        assert_no_children()
+
+    def test_error_in_share_zero_propagates_and_kills_the_children(self, monkeypatch, tmp_path):
+        """Children still at work when the caller's share raises are killed
+        and reaped, not waited for."""
+        caller = os.getpid()
+
+        def cell(c):
+            if os.getpid() == caller:
+                raise RuntimeError("share 0 failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_sweep_cell", cell)
+        grid = ["--n-min", "3", "--n-max", "4", "--thetas", "0,20", "--jobs", "3"]
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="share 0 failed"):
+            run(["sweep", *grid, "--csv", str(tmp_path / "s.csv")])
+        assert time.monotonic() - t0 < 30
+        assert_no_children()
+
+    def test_child_that_dies_without_rows_fails_the_sweep(self, monkeypatch, tmp_path):
+        caller = os.getpid()
+        real = cli._sweep_cell
+
+        def cell(c):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(c)
+
+        monkeypatch.setattr(cli, "_sweep_cell", cell)
+        out = tmp_path / "s.csv"
+        grid = ["--n-min", "3", "--n-max", "3", "--thetas", "0,20", "--jobs", "2"]
+        with pytest.raises(RuntimeError, match="sweep share 1 ended without its rows"):
+            run(["sweep", *grid, "--csv", str(out)])
+        assert not out.exists()
+        assert_no_children()
+
+    def test_jobs_above_one_without_fork_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "s.csv"
+        grid = ["--n-min", "3", "--n-max", "3", "--thetas", "0,20"]
+        assert run(["sweep", *grid, "--jobs", "2", "--csv", str(out)]) == 2
+        assert "zonet: error: --jobs above 1 needs os.fork" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["sweep", *grid, "--jobs", "1", "--csv", str(out)]) == 0
+
+    def test_children_add_nothing_to_stdout(self):
+        """A child leaves by os._exit, so it neither writes the CSV itself nor
+        flushes the stdout buffer it inherited."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def stdout(jobs):
+            argv = ["sweep", "--n-min", "3", "--n-max", "5", "--thetas", "0,20,50", "--jobs", jobs]
+            out = subprocess.run(
+                [sys.executable, "-m", "zonet.cli", *argv, "--csv", "-"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            return out.stdout
+
+        assert stdout("2") == stdout("1")
 
     def test_failing_verify_check_fails_the_row(self, monkeypatch, tmp_path):
         """A check outside the beta bound and the oracle still fails the sweep."""
