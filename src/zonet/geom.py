@@ -31,7 +31,8 @@ NULL_EDGE_SQ = 1e-30
 #: slack on the segment parameter t in [0, 1] of a circle crossing; a root
 #: within it is clamped onto the segment's end
 CROSSING_T_SLACK = 1e-12
-#: a point this far outside an edge line still counts as inside a quad
+#: a point this far outside an edge line still counts as inside a quad;
+#: ``circle_quad_arcs`` scales it by r for a circle of radius r < 1
 CONTAIN_TOL = 1e-12
 #: a quad whose doubled signed area is at most this in magnitude is
 #: degenerate: it has no circle table and shrinks to nothing
@@ -196,13 +197,18 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
     where C(r) grazes two edge lines, 5 arcs result; their span is the
     one arc's.  Zero-measure contacts (tangency, a degenerate quad, whose
     table is None) give no arc: the overlap machinery cares about interior
-    points only.
+    points only.  Below unit radius the membership tolerance shrinks with
+    r: a small circle about the apex of a thin rhomb lies wholly within
+    CONTAIN_TOL of both its edge lines, so with the absolute tolerance the
+    arc outside the rhomb counted as inside (at n = 3, theta = 90 deg -
+    1.7e-6 rad, R_1 and r = 3e-9, the arcs covered the whole circle).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if table is None:
         return ()
     crossing, sides = table
+    tol = CONTAIN_TOL * r if r < 1.0 else CONTAIN_TOL
     rr = r * r
     crossings: list[float] = []
     for x0, y0, dx, dy, a, b, cc, a2 in crossing:
@@ -228,7 +234,7 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
         dedup.pop()
 
     if not dedup:
-        return ((0.0, TWO_PI),) if _inside(sides, r, 0.0, CONTAIN_TOL) else ()
+        return ((0.0, TWO_PI),) if _inside(sides, r, 0.0, tol) else ()
 
     arcs: list[tuple[float, float]] = []
     m = len(dedup)
@@ -240,7 +246,7 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
         mid = 0.5 * (a + b)
         x, y = r * math.cos(mid), r * math.sin(mid)
         for x0, y0, dx, dy in sides:  # _inside, inlined on the beta profile's hot path
-            if dx * (y - y0) - dy * (x - x0) < -CONTAIN_TOL:
+            if dx * (y - y0) - dy * (x - x0) < -tol:
                 break
         else:
             arcs.append((a, b))

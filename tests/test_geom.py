@@ -161,7 +161,8 @@ def reference_circle_quad_arcs(center, r, vs):
     """The circle/quad kernel as it was before each quad cached its edge
     table: it orients the quad ``vs`` CCW and moves it by -center on every
     call and recomputes every edge coefficient.  The cached kernel must
-    return the same floats."""
+    return the same floats.  Its membership tolerance is 1e-12, times r
+    below unit radius."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
     area2 = geom._signed_area2(vs)
@@ -179,6 +180,7 @@ def reference_circle_quad_arcs(center, r, vs):
             y = p0[1] + t * (p1[1] - p0[1])
             crossings.append(math.atan2(y, x) % TWO_PI)
 
+    tol = 1e-12 * min(r, 1.0)
     crossings.sort()
     dedup = []
     for a in crossings:
@@ -188,7 +190,7 @@ def reference_circle_quad_arcs(center, r, vs):
         dedup.pop()
 
     if not dedup:
-        return ((0.0, TWO_PI),) if _reference_contains(vs, (r, 0.0)) else ()
+        return ((0.0, TWO_PI),) if _reference_contains(vs, (r, 0.0), tol) else ()
 
     arcs = []
     m = len(dedup)
@@ -198,7 +200,7 @@ def reference_circle_quad_arcs(center, r, vs):
         if i == m - 1:
             b += TWO_PI
         mid = 0.5 * (a + b)
-        if _reference_contains(vs, (r * math.cos(mid), r * math.sin(mid))):
+        if _reference_contains(vs, (r * math.cos(mid), r * math.sin(mid)), tol):
             arcs.append((a, b))
     return tuple(arcs)
 
