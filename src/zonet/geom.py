@@ -2,7 +2,9 @@
 
 Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
 units.  ``circle_quad_arcs`` returns the arcs of one circle about the origin
-inside one quad; ``verify`` spans the arcs it collects over a zone's quads.
+inside one quad, each end labelled with the edge crossing it lies on;
+``verify`` spans the arcs it collects over a zone's quads, and
+``crossing_angle`` follows a labelled crossing to other radii.
 ``circle_table`` computes a quad's per-edge circle-crossing coefficients once,
 so only the radius-dependent terms are computed per call.  ``shrink_quad``
 shrinks one quad and decides that the result is a strictly convex CCW quad;
@@ -47,7 +49,12 @@ SHRINK_MIN_DET = 1e-15
 PHANTOM_SLACK = 1e-12
 
 Point2 = tuple[float, float]
-Arcs = tuple[tuple[float, float], ...]
+#: a circle crossing: its angle on the circle where it was found, its
+#: ``circle_table`` crossing row and the root branch (-1.0 or +1.0) of the
+#: row's quadratic; the angle picks the turn of the crossing's angle on
+#: other circles
+Crossing = tuple[float, tuple[float, ...], float]
+Arcs = tuple[tuple[float, float, Crossing | None, Crossing | None], ...]
 #: ``circle_table``'s ``(crossing, sides)`` edge coefficients
 CircleTable = tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]
 
@@ -181,27 +188,35 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
     return s
 
 
-def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
-    """CCW arcs (start, end) of angles phi with r*(cos phi, sin phi) inside
-    the quad whose ``circle_table`` is ``table``, pairwise disjoint and in
-    increasing order.
+def circle_quad_arcs(
+    r: float, table: CircleTable | None, span_start: float = math.inf, span_end: float = -math.inf
+) -> Arcs:
+    """CCW arcs (start, end, start crossing, end crossing) of angles phi with
+    r*(cos phi, sin phi) inside the quad whose ``circle_table`` is ``table``,
+    pairwise disjoint and in increasing order.
 
     The circle is about the origin (translate the quad to move it).  It is
     intersected with each edge, using the table's coefficients; the
-    resulting angular partition is classified by midpoint membership.  In
-    exact geometry the circle crosses the boundary of a convex quad at most
-    8 times, so at most 4 arcs lie inside.  Near an edge tangency, though,
-    the float discriminant leaves two crossings about 1e-8 apart where
-    there is one touch, and these split one arc into adjacent arcs that
-    share an end: at (3, 2.1009 deg), R_1 and r = 0.8671861417025767,
-    where C(r) grazes two edge lines, 5 arcs result; their span is the
-    one arc's.  Zero-measure contacts (tangency, a degenerate quad, whose
-    table is None) give no arc: the overlap machinery cares about interior
-    points only.  Below unit radius the membership tolerance shrinks with
-    r: a small circle about the apex of a thin rhomb lies wholly within
-    CONTAIN_TOL of both its edge lines, so with the absolute tolerance the
-    arc outside the rhomb counted as inside (at n = 3, theta = 90 deg -
-    1.7e-6 rad, R_1 and r = 3e-9, the arcs covered the whole circle).
+    resulting angular partition is classified by midpoint membership.  Each
+    end of an arc is labelled with the ``Crossing`` it lies on, so
+    ``crossing_angle`` can follow that end to other radii; a whole circle
+    inside the quad has no crossings, and its labels are None.  A piece of
+    the partition within [span_start, span_end] is neither tested nor
+    returned: a caller spanning the arcs of several quads skips the arcs
+    that cannot widen its span.  In exact geometry the circle crosses the
+    boundary of a convex quad at most 8 times, so at most 4 arcs lie
+    inside.  Near an edge tangency, though, the float discriminant leaves
+    two crossings about 1e-8 apart where there is one touch, and these
+    split one arc into adjacent arcs that share an end: at (3, 2.1009 deg),
+    R_1 and r = 0.8671861417025767, where C(r) grazes two edge lines, 5
+    arcs result; their span is the one arc's.  Zero-measure contacts
+    (tangency, a degenerate quad, whose table is None) give no arc: the
+    overlap machinery cares about interior points only.  Below unit radius
+    the membership tolerance shrinks with r: a small circle about the apex
+    of a thin rhomb lies wholly within CONTAIN_TOL of both its edge lines,
+    so with the absolute tolerance the arc outside the rhomb counted as
+    inside (at n = 3, theta = 90 deg - 1.7e-6 rad, R_1 and r = 3e-9, the
+    arcs covered the whole circle).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -210,47 +225,86 @@ def circle_quad_arcs(r: float, table: CircleTable | None) -> Arcs:
     crossing, sides = table
     tol = CONTAIN_TOL * r if r < 1.0 else CONTAIN_TOL
     rr = r * r
-    crossings: list[float] = []
-    for x0, y0, dx, dy, a, b, cc, a2 in crossing:
+    crossings: list[Crossing] = []
+    for row in crossing:
+        x0, y0, dx, dy, a, b, cc, a2 = row
         disc = b * b - 4.0 * a * (cc - rr)
         if disc < 0.0:
             continue
         sq = math.sqrt(disc)
-        for t in ((-b - sq) / a2, (-b + sq) / a2):
+        for branch in (-1.0, 1.0):
+            t = (-b + branch * sq) / a2
             if -CROSSING_T_SLACK <= t <= 1.0 + CROSSING_T_SLACK:
                 if t < 0.0:
                     t = 0.0
                 elif t > 1.0:
                     t = 1.0
-                crossings.append(math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI)
+                crossings.append(
+                    (math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI, row, branch)
+                )
 
     # dedupe circularly (circle through a quad vertex hits two edges there)
     crossings.sort()
-    dedup: list[float] = []
-    for a in crossings:
-        if not dedup or a - dedup[-1] > MERGE_EPS:
-            dedup.append(a)
-    if len(dedup) > 1 and dedup[0] + TWO_PI - dedup[-1] <= MERGE_EPS:
+    dedup: list[Crossing] = []
+    for c in crossings:
+        if not dedup or c[0] - dedup[-1][0] > MERGE_EPS:
+            dedup.append(c)
+    if len(dedup) > 1 and dedup[0][0] + TWO_PI - dedup[-1][0] <= MERGE_EPS:
         dedup.pop()
 
     if not dedup:
-        return ((0.0, TWO_PI),) if _inside(sides, r, 0.0, tol) else ()
+        if span_start <= 0.0 and TWO_PI <= span_end:
+            return ()
+        return ((0.0, TWO_PI, None, None),) if _inside(sides, r, 0.0, tol) else ()
 
-    arcs: list[tuple[float, float]] = []
+    arcs: list[tuple[float, float, Crossing | None, Crossing | None]] = []
     m = len(dedup)
     for i in range(m):
-        a = dedup[i]
-        b = dedup[(i + 1) % m]
-        if i == m - 1:
-            b += TWO_PI
+        start = dedup[i]
+        if i < m - 1:
+            end = dedup[i + 1]
+        else:  # the last arc ends one turn up, on the first crossing
+            end = (dedup[0][0] + TWO_PI, *dedup[0][1:])
+        a, b = start[0], end[0]
+        if span_start <= a and b <= span_end:
+            continue
         mid = 0.5 * (a + b)
         x, y = r * math.cos(mid), r * math.sin(mid)
         for x0, y0, dx, dy in sides:  # _inside, inlined on the beta profile's hot path
             if dx * (y - y0) - dy * (x - x0) < -tol:
                 break
         else:
-            arcs.append((a, b))
+            arcs.append((a, b, start, end))
     return tuple(arcs)
+
+
+def crossing_angle(r: float, crossing: Crossing) -> float:
+    """The angle at which C(r) meets the edge root labelled ``crossing``.
+
+    The same closed form as ``circle_quad_arcs``: t = (-b +- sqrt(disc)) /
+    2a on the labelled branch, then the direction of the edge point, taken
+    within pi of the crossing's labelled angle.  The root moves along its
+    edge, which subtends less than pi at the origin, so that picks the turn
+    of a crossing followed from the circle where it was labelled: an arc
+    end that wraps past 2 pi stays there, and a crossing that reaches the
+    positive x axis from below reads 2 pi, not 0.  Here the discriminant is
+    clamped at 0 and t onto [0, 1], so at an event radius, where the
+    crossing grazes the edge or reaches one of its ends, the angle is its
+    limit from the circles where the crossing exists.
+    """
+    near, (x0, y0, dx, dy, a, b, cc, a2), branch = crossing
+    disc = b * b - 4.0 * a * (cc - r * r)
+    t = (-b + branch * math.sqrt(disc)) / a2 if disc > 0.0 else -b / a2
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    angle = math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI
+    if angle - near > math.pi:
+        return angle - TWO_PI
+    if near - angle > math.pi:
+        return angle + TWO_PI
+    return angle
 
 
 # ---------------------------------------------------------------------------

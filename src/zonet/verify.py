@@ -7,11 +7,13 @@ about o, so the net is overlap-free when beta(r) <= alpha for every radius.
 
 Everything here is numeric but event-driven: the combinatorics of C(r) within
 the zone only change at radii where the circle passes through a vertex or
-grazes an edge.  beta is evaluated at every such event radius and at both of
-its one-sided neighbours; beta is monotone between events, so those samples
-reach its supremum.  Each cell computes that profile once: at theta = 0 the
-upper-half and lower-half checks read their radius windows off the same
-profile that bounds beta by alpha.
+grazes an edge.  beta is monotone between events and lower semicontinuous at
+them, so its supremum is one of its one-sided limits at the event radii.
+The profile takes each limit exactly: one circle-quad kernel pass per event
+interval names the two edge crossings the covering arc ends on, and a
+closed form follows them to both ends of the interval.  Each cell computes
+that profile once: at theta = 0 the upper-half and lower-half checks read
+their radius windows off the same profile that bounds beta by alpha.
 
 The one fully exact check is the overlap oracle, which tests rhomb pairs of
 the assembled net with a filtered float predicate with an exact rational
@@ -28,15 +30,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geom import TWO_PI, circle_quad_arcs, polygons_interior_overlap, shrink_quad
+from .geom import (
+    TWO_PI,
+    Crossing,
+    circle_quad_arcs,
+    crossing_angle,
+    polygons_interior_overlap,
+    shrink_quad,
+)
 from .unfold import Net, PlanarZone, assemble_net, planar_zone
 
 BETA_TOL = 1e-9
 STRICT_MARGIN = 1e-12
-EVENT_EPS = 1e-9
 ANGLE_TOL = 1e-10
 #: event radii closer than this are one event computed two ways
 EVENT_MERGE = 1e-12
@@ -54,9 +63,20 @@ CORNER_RADIUS_OFFSET = 1e-10
 # beta(r) and its profile over all radii
 
 
+class Limit(NamedTuple):
+    """A one-sided limit of beta on the event interval (lo, hi): beta(lo+)
+    at r = lo, or beta(hi-) at r = hi."""
+
+    r: float
+    beta: float
+    lo: float
+    hi: float
+
+
 def beta_of_r(zone: PlanarZone, r: float) -> float | None:
     """Covering-arc angle of C(r) within the zone; None if C(r) misses it."""
-    return _betas(zone, [r])[0]
+    arc = _covering_arcs(zone, [r])[0]
+    return None if arc is None else arc[1] - arc[0]
 
 
 def critical_radii(zone: PlanarZone) -> list[float]:
@@ -71,46 +91,87 @@ def critical_radii(zone: PlanarZone) -> list[float]:
     return out
 
 
+def kernel_radii(events: list[float]) -> list[float]:
+    """The midpoint of each event interval (0, e_1), (e_1, e_2), ...: the one
+    radius of each interval where ``beta_profile`` runs the kernel."""
+    return [0.5 * (lo + hi) for lo, hi in zip([0.0, *events], events)]
+
+
 def sample_radii(zone: PlanarZone) -> list[float]:
-    """Every event radius e with its neighbours e - EVENT_EPS and e + EVENT_EPS.
+    """The radius of every one-sided limit of beta the profile takes: beta(e_1-),
+    beta(e_1+), ..., beta(e_k-) for the k event radii e_1 < ... < e_k, so every
+    event twice but the last, 2k - 1 radii.
 
     Between consecutive events C(r) crosses the same edges, and while beta < pi
     the covering arc ends on the same two of them.  An end on an edge line at
     distance d from o sits at phi0 +- acos(d/r), so beta' = +-f(d_a) -+ f(d_b)
     with f(d) = d / (r * sqrt(r*r - d*d)) increasing in d: beta is monotone or
-    constant between events, and its supremum is a one-sided limit at an event,
-    which e -+ EVENT_EPS approaches while events lie more than EVENT_EPS apart.
-    Below the first event C(r) meets only R_1, cornered at o: beta = alpha.
+    constant between events, and its supremum on an interval is a one-sided
+    limit at one of its ends.  At an event itself beta(e) <= min(beta(e-),
+    beta(e+)): an arc of positive length in a closed rhomb has interior points
+    of the rhomb, which circles of nearby radii still meet, so beta is lower
+    semicontinuous and e needs no sample.  Below the first event C(r) meets
+    only R_1, cornered at o: beta = alpha, so beta(0+) = beta(e_1-); above the
+    last event C(r) misses the zone.
     """
-    rs: set[float] = set()
-    for e in critical_radii(zone):
-        for r in (e - EVENT_EPS, e, e + EVENT_EPS):
-            if r > 0.0:
-                rs.add(r)
-    return sorted(rs)
+    return [r for e in critical_radii(zone) for r in (e, e)][:-1]
 
 
-def beta_profile(zone: PlanarZone) -> list[tuple[float, float]]:
-    """(r, beta(r)) over the event radii and their neighbours, skipping misses."""
+def beta_profile(zone: PlanarZone) -> list[Limit]:
+    """Every one-sided limit of beta at ``sample_radii``, in that order,
+    skipping the intervals where C(r) misses the zone.
+
+    The kernel runs once per event interval, at its ``kernel_radii`` entry,
+    and names the two crossings the covering arc ends on there; they are its
+    ends on the whole interval (see ``sample_radii``), so ``crossing_angle``
+    follows them to both ends of the interval in closed form.
+    """
     radii = sample_radii(zone)
-    return [(r, b) for r, b in zip(radii, _betas(zone, radii)) if b is not None]
+    events = radii[::2]  # every event twice but the last, so each once
+    profile = []
+    for lo, hi, arc in zip([0.0, *events], events, _covering_arcs(zone, kernel_radii(events))):
+        if arc is None:
+            continue
+        _, _, start, end = arc
+        for r in (lo, hi) if lo > 0.0 else (hi,):  # beta(0+) = beta(e_1-)
+            profile.append(Limit(r, crossing_angle(r, end) - crossing_angle(r, start), lo, hi))
+    return profile
 
 
-def _betas(zone: PlanarZone, radii: list[float]) -> list[float | None]:
-    """beta at each of the sorted ``radii``, None where C(r) misses the zone.
+def _covering_arcs(
+    zone: PlanarZone, radii: list[float]
+) -> list[tuple[float, float, Crossing, Crossing] | None]:
+    """At each of the sorted ``radii``, the shortest arc covering C(r) within
+    the zone as (start, end, start crossing, end crossing); None where C(r)
+    misses the zone.  Every end is a crossing: o is a corner of R_1 and
+    outside every other rhomb, so no rhomb holds a whole circle about o.
 
     One sweep over the rhombs: each rhomb's radius range is bisected into
-    the radii, and its arcs go to the radii in that range.  The zone lies
-    below o: its pole-side edge runs along the x axis and every left-chain
-    step is (cos g, -sin g) with g in (0, pi].  So every arc of C(r) inside
-    it lies in the directions [pi, 2 pi], and the shortest arc covering
-    them runs from the first start to the last end.
+    the radii, and its arcs are folded into the arcs of the radii in that
+    range.  The zone lies below o: its pole-side edge runs along the x axis
+    and every left-chain step is (cos g, -sin g) with g in (0, pi].  So
+    every arc of C(r) inside it lies in the directions [pi, 2 pi], the
+    covering arc runs from the first start to the last end, and an arc
+    within the covering arc so far cannot move either end: the kernel skips
+    it.
     """
-    pieces: list[list[tuple[float, float]]] = [[] for _ in radii]
+    starts = [math.inf] * len(radii)
+    ends = [-math.inf] * len(radii)
+    start_at: list = [None] * len(radii)
+    end_at: list = [None] * len(radii)
     for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
+        if table is None:  # the central rhomb collapsed to a segment
+            continue
         for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
-            pieces[k].extend(circle_quad_arcs(radii[k], table))
-    return [max(e for _, e in arcs) - min(s for s, _ in arcs) if arcs else None for arcs in pieces]
+            for s, e, s_at, e_at in circle_quad_arcs(radii[k], table, starts[k], ends[k]):
+                if s < starts[k]:
+                    starts[k], start_at[k] = s, s_at
+                if e > ends[k]:
+                    ends[k], end_at[k] = e, e_at
+    return [
+        None if s == math.inf else (s, e, s_at, e_at)
+        for s, e, s_at, e_at in zip(starts, ends, start_at, end_at)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +231,11 @@ class FlatRhombReport:
     axis_diagonal: float  # along the near-flat axis: 2*cos(theta) in theory
     cross_diagonal: float  # across it: 2*sin(theta), the "lift" of the far end
     radial_lift: float  # |o b| - |o a| for the axis-diagonal ends a, b
-    max_chord: float  # over the profile's radii crossing the central rhomb
-    chord_at_corner_radius: float
+    max_chord: float  # over the profile's limits on intervals meeting the central rhomb
+    chord_at_corner_radius: float | None  # at theta = 0 only; None above it
 
 
-def flat_rhomb_check(
-    zone: PlanarZone, profile: list[tuple[float, float]]
-) -> FlatRhombReport:
+def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
     """Measurements backing the chord bound |xy| < 2 at the central rhomb.
 
     Requires n even.  The central rhomb has unit sides and one corner angle
@@ -185,8 +244,11 @@ def flat_rhomb_check(
     (how far the outer end is pushed off that axis).  That push strictly
     raises the outer end's radius from o once theta > 0, which is what keeps
     every chord of C(r) within the zone short of length 2.  ``profile`` is
-    the zone's ``beta_profile``: the chords are measured at its radii, each
-    2 r sin(beta / 2), as beta <= pi (see ``_betas``).
+    the zone's ``beta_profile``: the chords are measured at the limits on the
+    event intervals that meet the central rhomb's radius range, each 2 r
+    sin(beta / 2), as beta <= pi (see ``_covering_arcs``).  At theta = 0 the
+    chord also reaches 2 at the rhomb's near corner radius, which is
+    measured there alone.
     """
     n = zone.n
     if n % 2 != 0:
@@ -207,16 +269,14 @@ def flat_rhomb_check(
 
     lo, hi = zone.radius_ranges[n // 2 - 1]
     worst = max(
-        (
-            2.0 * r * math.sin(b / 2.0)
-            for r, b in profile
-            if lo - EVENT_EPS <= r <= hi + EVENT_EPS
-        ),
+        (2.0 * lim.r * math.sin(lim.beta / 2.0) for lim in profile if lim.lo < hi and lim.hi > lo),
         default=0.0,
     )
-    r_corner = max(ra - CORNER_RADIUS_OFFSET, CORNER_RADIUS_OFFSET)
-    b = beta_of_r(zone, r_corner)
-    chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(b / 2.0)
+    chord_corner = None
+    if theta == 0.0:
+        r_corner = max(ra - CORNER_RADIUS_OFFSET, CORNER_RADIUS_OFFSET)
+        b = beta_of_r(zone, r_corner)
+        chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(b / 2.0)
     return FlatRhombReport(corner, axis_d, cross_d, rb - ra, worst, chord_corner)
 
 
@@ -450,7 +510,7 @@ def run_verification(n: int, theta: float, check_overlap: bool = True) -> Verifi
     rep = VerificationReport(n, theta, alpha)
 
     profile = beta_profile(zone)
-    worst = rep.max_beta = max(b for _, b in profile)
+    worst = rep.max_beta = max(lim.beta for lim in profile)
     rep.checks["beta_le_alpha"] = CheckResult.of(
         [(alpha + BETA_TOL - worst, False)], f"max beta {worst:.12f}"
     )
@@ -472,25 +532,23 @@ def run_verification(n: int, theta: float, check_overlap: bool = True) -> Verifi
     upper, lower, flat = zone.half_split()
     if theta == 0.0:
         # below r_only_upper C(r) meets the upper half alone, where the
-        # exact-alpha claim holds; radii reaching the central rhomb or the
-        # lower half are the transition cases where the arc is split across
-        # the halves
+        # exact-alpha claim holds: the intervals ending there are read.
+        # Radii reaching the central rhomb or the lower half are the
+        # transition cases where the arc is split across the halves
         ranges = zone.radius_ranges
         r_only_upper = min(ranges[i][0] for i in range(len(upper), n - 1))
-        udev = max(abs(b - alpha) for r, b in profile if r < r_only_upper)
+        udev = max(abs(lim.beta - alpha) for lim in profile if lim.hi <= r_only_upper)
         rep.checks["upper_half"] = CheckResult.of(
             [(BETA_TOL - udev, True)], "C(r) covers exactly alpha of the upper half"
         )
         # strictly inside the lower half: at the transition radius (through
-        # the corners where the halves meet) the arc subtends exactly alpha/2;
-        # beta is monotone up to the next event, so that event's lower
-        # neighbour bounds the interval just above the transition.  Past
-        # r_transition + 2 EVENT_EPS every upper rhomb and the central one
-        # lie out of range, so C(r) meets the lower half alone
+        # the corners where the halves meet) the arc subtends exactly alpha/2,
+        # so the limits above r_transition are read: beta is monotone on the
+        # interval just above it, where its upper limit bounds it.  Above
+        # r_transition every upper rhomb and the central one lie out of
+        # range, so C(r) meets the lower half alone
         r_transition = max(ranges[i][1] for i in range(lower[0]))
-        lmargin = min(
-            alpha / 2.0 - b for r, b in profile if r > r_transition + 2.0 * EVENT_EPS
-        )
+        lmargin = min(alpha / 2.0 - lim.beta for lim in profile if lim.r > r_transition)
         rep.checks["lower_half"] = CheckResult.of(
             [(lmargin - STRICT_MARGIN, True)], "lower-half arcs stay under alpha/2"
         )

@@ -239,11 +239,11 @@ class TestVerify:
         "argv, digest",
         (
             (["-n", "3", "--theta", "0"],
-             "5fa3280f1d6dc21ea5bfe01065560d27a477f3db8c09ec15268417dd8d910dd0"),
+             "5a3b9bce828dd71fc40fc7aa0b52139efb65fc15165eac426cd2f7534f9b6e52"),
             (["-n", "9", "--theta", "0"],
              "2a8de29e738daabc4eb00f590eb2f950f7c5c5b527d86141c68f909cf49cf35f"),
             (["-n", "16", "--theta", "0"],
-             "0ea34385b98897a44795ab7651ae91b9fed2017de14c954afb4497f32b3baba6"),
+             "c3cff12ca789b1a54a31bb96be9100155a99d509248b47f3a1f01a92a1aeca07"),
             (["-n", "16", "--theta", "20"],
              "d5dc88d4771543042821dad6e4f85e71af299e5a07229850befb8e11daeccbb9"),
         ),

@@ -12,6 +12,7 @@ from zonet.geom import (
     circle_quad_arcs,
     circle_table,
     covering_arc_of_angles,
+    crossing_angle,
     normalize_angle,
     polygons_interior_overlap,
     shrink_quad,
@@ -23,7 +24,12 @@ TWO_PI = 2.0 * math.pi
 
 def measure(arcs):
     """Total length of pairwise-disjoint arcs."""
-    return sum(e - s for s, e in arcs)
+    return sum(e - s for s, e, *_ in arcs)
+
+
+def plain(arcs):
+    """``circle_quad_arcs``'s arcs without their crossing labels."""
+    return tuple((s, e) for s, e, *_ in arcs)
 
 
 class TestShortestCoveringArc:
@@ -95,7 +101,7 @@ class TestCircleQuadArcs:
         CONTAIN_TOL, so the two arcs stay apart."""
         table = circle_table(((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)))
         r = 1.0 + 1e-10
-        arcs = sorted(circle_quad_arcs(r, table))
+        arcs = sorted(plain(circle_quad_arcs(r, table)))
         assert len(arcs) == 2
         # the crossings sit at pi/2 -+ asin(sqrt(r*r - 1) / r), about 1.4e-5
         gap = arcs[1][0] - arcs[0][1]
@@ -247,7 +253,7 @@ class TestCachedKernelMatchesReference:
     def test_arcs_are_bit_identical(self, case):
         q, center, r = case
         table = circle_table(translated(q, center))
-        assert circle_quad_arcs(r, table) == reference_circle_quad_arcs(center, r, q)
+        assert plain(circle_quad_arcs(r, table)) == reference_circle_quad_arcs(center, r, q)
 
     def test_every_edge_of_a_point_quad_is_dropped(self):
         point = ((1.0, 1.0),) * 4
@@ -261,12 +267,61 @@ class TestCachedKernelMatchesReference:
         assert len(crossing) == 3 and len(sides) == 4
         for r in (0.5, 1.0, 1.5, 2.0):
             expected = reference_circle_quad_arcs((0.0, 0.0), r, triangle)
-            assert circle_quad_arcs(r, (crossing, sides)) == expected
+            assert plain(circle_quad_arcs(r, (crossing, sides))) == expected
 
     def test_degenerate_quad_gives_no_arc(self):
         flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
         assert circle_table(flat) is None
         assert circle_quad_arcs(1.0, None) == ()
+
+
+class TestCrossingLabels:
+    """Each arc end names the edge root it lies on; ``crossing_angle``
+    follows that root to other radii."""
+
+    @given(circles_and_quads())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_give_back_the_arc_ends(self, case):
+        q, center, r = case
+        for s, e, s_at, e_at in circle_quad_arcs(r, circle_table(translated(q, center))):
+            if s_at is None:
+                assert (s, e, e_at) == (0.0, TWO_PI, None)
+            else:
+                assert (crossing_angle(r, s_at), crossing_angle(r, e_at)) == (s, e)
+
+    @given(circles_and_quads(), st.floats(-10.0, 10.0), st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_arcs_within_the_span_are_skipped(self, case, span_start, width):
+        """Given a span, the kernel returns the arcs it returns without one,
+        less those lying within the span."""
+        q, center, r = case
+        table = circle_table(translated(q, center))
+        span_end = span_start + width
+        expected = tuple(
+            arc for arc in circle_quad_arcs(r, table)
+            if not (span_start <= arc[0] and arc[1] <= span_end)
+        )
+        assert circle_quad_arcs(r, table, span_start, span_end) == expected
+
+    def test_a_crossing_keeps_its_turn(self):
+        """A unit rhomb below the x axis with a corner at (1, 0): at r = 1.5
+        the arc ends on the edge up to (1, 0), near (1.375, -0.6), and followed
+        down to r = 1 that end reaches the x axis at 2 pi, not 0."""
+        quad = ((0.0, 0.0), (1.0, 0.0), (1.5, -0.8), (0.5, -0.8))
+        (s, e, s_at, e_at), = circle_quad_arcs(1.5, circle_table(quad))
+        assert e == pytest.approx(TWO_PI - math.atan2(0.6, 1.375), abs=1e-3)
+        assert crossing_angle(1.0, e_at) == TWO_PI
+        assert crossing_angle(1.0, (e_at[0] - TWO_PI, *e_at[1:])) == 0.0
+
+    def test_a_graze_clamps_the_discriminant(self):
+        """Followed to the radius where C(r) grazes the edge y = -1, both
+        roots meet at the foot (0, -1), where the float discriminant may be
+        slightly negative."""
+        quad = ((-1.0, -1.0), (1.0, -1.0), (1.0, -2.0), (-1.0, -2.0))
+        arcs = circle_quad_arcs(1.2, circle_table(quad))
+        (_, _, s_at, e_at), = arcs
+        for at in (s_at, e_at):
+            assert crossing_angle(1.0, at) == pytest.approx(1.5 * math.pi, abs=1e-15)
 
 
 @st.composite

@@ -15,11 +15,13 @@ from zonet.cli import DEFAULT_THETAS, parse_theta
 from zonet.geom import circle_quad_arcs, polygons_interior_overlap
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
+    Limit,
     beta_of_r,
     beta_profile,
     critical_radii,
     diagonal_perpendicular_test,
     flat_rhomb_check,
+    kernel_radii,
     net_overlap_oracle,
     orbit_overlap_oracle,
     rhomb_subtended_angles,
@@ -44,7 +46,7 @@ class TestBetaOfR:
     def test_profile_is_bounded_by_alpha(self):
         for n, theta_deg in ((16, 20.0), (24, 40.0), (8, 50.0), (5, 85.0)):
             zone = planar_zone(n, math.radians(theta_deg))
-            assert max(b for _, b in beta_profile(zone)) <= zone.alpha + 1e-9
+            assert max(lim.beta for lim in beta_profile(zone)) <= zone.alpha + 1e-9
 
     def test_matches_dense_membership_sampling(self):
         """beta(r) is the span of the in-zone directions that brute-force
@@ -64,12 +66,22 @@ class TestBetaOfR:
             )
 
     def test_sample_radii_cover_every_event_interval(self):
+        """Each event interval, (0, first event) included, gets exactly one
+        kernel radius strictly inside it, and the profile takes both
+        one-sided limits at every event but the last, where C(r) leaves the
+        zone."""
         zone = planar_zone(9, math.radians(25))
         events = critical_radii(zone)
-        rs = sample_radii(zone)
-        assert rs[0] < events[0]  # the interval (0, first event) is sampled
-        for a, b in zip(events, events[1:]):
-            assert any(a < r < b for r in rs)
+        rs = kernel_radii(events)
+        for a, b in zip([0.0, *events], events):
+            assert sum(a < r < b for r in rs) == 1
+        assert len(rs) == len(events)
+        assert sample_radii(zone) == sorted(events * 2)[:-1]
+        profile = beta_profile(zone)
+        assert [lim.r for lim in profile] == sample_radii(zone)
+        assert [(lim.lo, lim.hi) for lim in profile] == [
+            (a, b) for a, b in zip([0.0, *events], events) for r in (a, b) if r > 0.0
+        ]
 
 
 class TestZoneBelowPole:
@@ -86,25 +98,26 @@ class TestZoneBelowPole:
         """Every corner has y <= 0, with y = 0 only at o and (1, 0), the
         ends of R_1's pole-side edge; every arc is within [pi, 2 pi].  The
         radius is a share of the zone's farthest corner distance (a float
-        pick) or a sampled event radius or neighbour (an integer pick)."""
+        pick) or an event or kernel radius (an integer pick)."""
         zone = planar_zone(n, theta)
         for k, quad in enumerate(zone.corners):
             for j, (_, y) in enumerate(quad):
                 assert y < 0.0 or (y == 0.0 and k == 0 and j < 2), (k, j, y)
         if isinstance(pick, int):
-            radii = sample_radii(zone)
+            events = critical_radii(zone)
+            radii = sorted(events + kernel_radii(events))
             r = radii[pick % len(radii)]
         else:
             r = pick * max(radius for _, radius in zone.radius_ranges)
         for table in zone.circle_tables:
-            for start, end in circle_quad_arcs(r, table):
+            for start, end, *_ in circle_quad_arcs(r, table):
                 assert math.pi <= start < end <= 2.0 * math.pi, (r, start, end)
 
 
 def span(arcs):
     """From the first start to the last end of ``arcs``, None for no arcs:
     beta, since every arc of C(r) in a zone lies in the directions [pi, 2 pi]."""
-    return max(e for _, e in arcs) - min(s for s, _ in arcs) if arcs else None
+    return max(a[1] for a in arcs) - min(a[0] for a in arcs) if arcs else None
 
 
 def arcs_over_every_rhomb(zone, r):
@@ -113,22 +126,25 @@ def arcs_over_every_rhomb(zone, r):
     return [a for table in zone.circle_tables for a in circle_quad_arcs(r, table)]
 
 
-def reference_profile(zone):
-    """``beta_profile`` with the arcs of each radius collected as before the
+def reference_betas(zone, radii):
+    """beta at ``radii`` with the arcs of each radius collected as before the
     per-quad edge tables: every rhomb is re-tested against its radius range
-    and clipped by the uncached reference kernel."""
+    and clipped by the uncached reference kernel, and every arc is spanned."""
     from test_geom import reference_circle_quad_arcs
 
     out = []
-    for r in sample_radii(zone):
+    for r in radii:
         pieces = []
         for (dmin, dmax), quad in zip(zone.radius_ranges, zone.corners):
             if dmin - 1e-12 <= r <= dmax + 1e-12:
                 pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, quad))
-        b = span(pieces)
-        if b is not None:
-            out.append((r, b))
+        out.append(span(pieces))
     return out
+
+
+def event_and_kernel_radii(zone):
+    events = critical_radii(zone)
+    return sorted(events + kernel_radii(events))
 
 
 def sub_zone(zone, idx):
@@ -138,11 +154,16 @@ def sub_zone(zone, idx):
 
 
 class TestProfileMatchesReference:
+    """The per-quad edge tables and the fold that skips arcs within the span
+    so far give the bits of the uncached reference kernel's span, at the
+    kernel radii the profile runs at and at the events."""
+
     @pytest.mark.parametrize("n", range(3, 17))
     def test_profiles_are_bit_identical(self, n):
         for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
             zone = planar_zone(n, math.radians(theta_deg))
-            assert beta_profile(zone) == reference_profile(zone), theta_deg
+            radii = event_and_kernel_radii(zone)
+            assert [beta_of_r(zone, r) for r in radii] == reference_betas(zone, radii), theta_deg
 
 
 class TestExactRangeFilter:
@@ -156,19 +177,18 @@ class TestExactRangeFilter:
     def test_beta_equals_beta_over_every_rhomb(self, theta):
         for n in range(3, 33):
             zone = planar_zone(n, parse_theta(theta))
-            expected = [
-                (r, b)
-                for r in sample_radii(zone)
-                if (b := span(arcs_over_every_rhomb(zone, r))) is not None
-            ]
-            assert beta_profile(zone) == expected, n
+            radii = event_and_kernel_radii(zone)
+            expected = [span(arcs_over_every_rhomb(zone, r)) for r in radii]
+            assert [beta_of_r(zone, r) for r in radii] == expected, n
 
 
 class TestOneProfilePerCell:
     @pytest.mark.parametrize("n", (*range(3, 33), 64))
     def test_half_windows_match_the_half_profiles(self, n):
         """The theta = 0 half checks, read off the one profile, give the
-        margins of the profiles of the upper and the lower half alone."""
+        margins of the profiles of the upper and the lower half alone: the
+        upper half's limits on the intervals below r_only_upper, the lower
+        half's limits above r_transition."""
         zone = planar_zone(n, 0.0)
         alpha = zone.alpha
         upper, lower, flat = zone.half_split()
@@ -176,12 +196,14 @@ class TestOneProfilePerCell:
         r_only_upper = min(zone.radius_ranges[i][0] for i in (*lower, *flat_t))
         r_transition = max(math.hypot(*p) for i in (*upper, *flat_t) for p in zone.corners[i])
         udev = max(
-            abs(b - alpha) for r, b in beta_profile(sub_zone(zone, upper)) if r < r_only_upper
+            abs(lim.beta - alpha)
+            for lim in beta_profile(sub_zone(zone, upper))
+            if lim.hi <= r_only_upper
         )
         lmargin = min(
-            alpha / 2.0 - b
-            for r, b in beta_profile(sub_zone(zone, lower))
-            if r > r_transition + 2.0 * verify.EVENT_EPS
+            alpha / 2.0 - lim.beta
+            for lim in beta_profile(sub_zone(zone, lower))
+            if lim.r > r_transition
         )
         checks = run_verification(n, 0.0, check_overlap=False).checks
         assert checks["upper_half"].margin == verify.BETA_TOL - udev
@@ -198,38 +220,86 @@ class TestOneProfilePerCell:
 
 
 def dense_profile(zone, per_interval=9):
-    """``beta_profile`` over the event radii and their neighbours plus
-    ``per_interval`` evenly spread radii inside every interval between
-    events, (0, first event) included: an independent reference for the
-    claim that beta is monotone between events."""
+    """beta by the kernel at ``per_interval`` evenly spread radii inside
+    every event interval, (0, first event) included, each as a ``Limit`` on
+    its interval: an independent reference for the claim that beta is
+    monotone between events."""
     events = critical_radii(zone)
-    rs = set(sample_radii(zone))
+    out = []
     for a, b in zip([0.0, *events], events):
         for j in range(1, per_interval + 1):
-            rs.add(a + (b - a) * j / (per_interval + 1))
-    return [(r, b) for r in sorted(rs) if (b := beta_of_r(zone, r)) is not None]
+            r = a + (b - a) * j / (per_interval + 1)
+            if (beta := beta_of_r(zone, r)) is not None:
+                out.append(Limit(r, beta, a, b))
+    return out
 
 
 class TestEventOnlyProfile:
     """Interior radii never raise max beta or the central-rhomb chord above
-    what the event radii alone give.  Angles live in [0, 2 pi), so the unit
-    of float noise in beta is an ulp of 2 pi, not of alpha: the largest
-    measured excess is one such ulp, which at small alpha is 64 ulps of alpha.
+    what the one-sided limits at the events give.  Angles live in [0, 2 pi),
+    so the unit of float noise in beta is an ulp of 2 pi, not of alpha: the
+    largest measured excess is one such ulp, which at small alpha is 64
+    ulps of alpha.
 
-    theta starts at 1e-6 deg.  Near 1e-10 deg two events lie closer than
-    EVENT_EPS, so e -+ EVENT_EPS steps over the interval between them, and
-    an interior radius there meets a near-tangent edge within CONTAIN_TOL,
-    which widens the arc by about sqrt(2 * CONTAIN_TOL)."""
+    theta starts at 1e-6 deg.  Near 1e-10 deg two events lie 3.5e-12 apart,
+    and an interior radius there meets a near-tangent edge within
+    CONTAIN_TOL, which widens the kernel's arc by about sqrt(2 *
+    CONTAIN_TOL)."""
 
     @given(st.integers(3, 20), st.one_of(st.just(0.0), st.floats(1e-6, 89.5)))
     @settings(max_examples=60, deadline=None)
     def test_dense_sampling_finds_nothing_above_the_events(self, n, theta_deg):
         zone = planar_zone(n, math.radians(theta_deg))
-        events, dense = beta_profile(zone), dense_profile(zone)
-        excess = max(b for _, b in dense) - max(b for _, b in events)
+        limits, dense = beta_profile(zone), dense_profile(zone)
+        excess = max(lim.beta for lim in dense) - max(lim.beta for lim in limits)
         assert excess <= 4.0 * math.ulp(2.0 * math.pi)
         if n % 2 == 0:
-            assert flat_rhomb_check(zone, dense).max_chord <= flat_rhomb_check(zone, events).max_chord
+            assert flat_rhomb_check(zone, dense).max_chord <= flat_rhomb_check(zone, limits).max_chord
+
+    @given(st.integers(3, 64), st.one_of(st.just(0.0), st.floats(1e-6, 89.5)))
+    @settings(max_examples=60, deadline=None)
+    def test_the_events_need_no_sample(self, n, theta_deg):
+        """The kernel's beta at an event is at most the larger one-sided
+        limit there, so the profile can drop the sample at e itself."""
+        zone = planar_zone(n, math.radians(theta_deg))
+        limits = {}
+        for lim in beta_profile(zone):
+            limits.setdefault(lim.r, []).append(lim.beta)
+        for e, sides in limits.items():
+            at_e = beta_of_r(zone, e)
+            assert at_e is None or at_e <= max(sides) + 4.0 * math.ulp(2.0 * math.pi), e
+
+
+def eps_sampled_max_beta(zone, eps=1e-9):
+    """max beta over every event e and e -+ eps: the profile as it was
+    sampled before it took one-sided limits."""
+    radii = sorted({r for e in critical_radii(zone) for r in (e - eps, e, e + eps) if r > 0.0})
+    return max(arc[1] - arc[0] for arc in verify._covering_arcs(zone, radii) if arc is not None)
+
+
+class TestLimitsReplaceNeighbourSamples:
+    @pytest.mark.parametrize("theta", DEFAULT_THETAS.split(","))
+    def test_max_beta_is_within_the_step_of_the_neighbour_samples(self, theta):
+        """Where events lie far apart, e -+ 1e-9 sits within 1e-9 of the
+        limits, and beta varies by about as much over that step."""
+        for n in range(3, 65):
+            zone = planar_zone(n, math.radians(float(theta)))
+            limits = max(lim.beta for lim in beta_profile(zone))
+            assert abs(limits - eps_sampled_max_beta(zone)) <= 1e-9, n
+
+    @pytest.mark.parametrize("n,theta_deg", [(256, 1.0), (512, 20.0)])
+    def test_intervals_narrower_than_the_old_step_get_both_limits(self, n, theta_deg):
+        """These zones hold event intervals narrower than 2e-9, which the
+        samples e -+ 1e-9 stepped over; the profile takes both limits of
+        each, and the cell's beta bound holds."""
+        zone = planar_zone(n, math.radians(theta_deg))
+        events = critical_radii(zone)
+        narrow = [(a, b) for a, b in zip(events, events[1:]) if b - a < 2e-9]
+        assert narrow
+        profile = beta_profile(zone)
+        for a, b in narrow:
+            assert [lim.r for lim in profile if (lim.lo, lim.hi) == (a, b)] == [a, b]
+        assert max(lim.beta for lim in profile) <= zone.alpha + verify.BETA_TOL
 
 
 class TestSubtendedAngles:
@@ -353,13 +423,22 @@ class TestFlatRhomb:
         fr = flat_rhomb(16, math.radians(1.0))
         assert fr.radial_lift > 0.0
         assert fr.max_chord < 2.0
-        # frozen: the lift and worst chord at this parameter point
+        # frozen: the lift and worst chord at this parameter point, the
+        # chord at beta(r+) for r the central rhomb's nearest radius
         assert fr.radial_lift == pytest.approx(3.328730e-2, rel=1e-5)
-        assert fr.max_chord == pytest.approx(1.876447243, abs=1e-8)
+        assert fr.max_chord == pytest.approx(1.876447193, abs=1e-8)
 
     def test_theta_zero_chord_reaches_two(self):
         fr = flat_rhomb(16, 0.0)
         assert fr.chord_at_corner_radius == pytest.approx(2.0, abs=1e-9)
+
+    def test_corner_chord_is_measured_at_theta_zero_only(self, monkeypatch):
+        """No rule reads the chord at the corner radius above theta = 0, so
+        no kernel pass is spent on it there."""
+        zone = planar_zone(16, math.radians(20.0))
+        profile = beta_profile(zone)
+        monkeypatch.setattr(verify, "beta_of_r", None)
+        assert flat_rhomb_check(zone, profile).chord_at_corner_radius is None
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -731,8 +810,10 @@ class TestMarginSign:
 
         def profile(zone):
             return [
-                (r, zone.alpha / 2.0 - 0.5 * verify.STRICT_MARGIN if r > r_transition else b)
-                for r, b in real(zone)
+                lim._replace(beta=zone.alpha / 2.0 - 0.5 * verify.STRICT_MARGIN)
+                if lim.r > r_transition
+                else lim
+                for lim in real(zone)
             ]
 
         monkeypatch.setattr(verify, "beta_profile", profile)
