@@ -1,43 +1,31 @@
-"""Planar primitives: angles, circle/quad arcs, exact overlap.
+"""Planar primitives: angles, circle crossings, exact overlap.
 
-Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in rhomb-edge
-units.  ``circle_quad_arcs`` returns the arcs of one circle about the origin
-inside one quad, each end labelled with the edge crossing it lies on;
-``verify`` spans the arcs it collects over a zone's quads, and
-``crossing_angle`` follows a labelled crossing to other radii.
-``circle_table`` computes a quad's per-edge circle-crossing coefficients once,
-so only the radius-dependent terms are computed per call.  ``shrink_quad``
-shrinks one quad and decides that the result is a strictly convex CCW quad;
-the overlap predicate for two such quads is then a bare separating-axis test.
-Both decide every turn with the one filtered float orientation ``_orient``,
-which falls back to exact rationals: each orientation is decided in floating
-point when its error bound allows and otherwise on the binary-float values
-embedded losslessly as rationals, so "touching" versus "overlapping" is
-decided exactly with respect to the coordinates actually computed.  The
-module uses no numpy.
+Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in
+rhomb-edge units.  ``circle_quad_arcs`` spans the crossings of a circle
+about the origin with a set of edges, each labelled with its edge's
+coefficients and root branch, and ``crossing_angle`` follows a labelled
+crossing to other radii.  ``shrink_quad`` shrinks one quad and decides that
+the result is a strictly convex CCW quad; the overlap predicate for two
+such quads is then a bare separating-axis test.  Both decide every turn
+with the one filtered float orientation ``_orient``, which falls back to
+exact rationals: each orientation is decided in floating point when its
+error bound allows and otherwise on the binary-float values embedded
+losslessly as rationals, so "touching" versus "overlapping" is decided
+exactly with respect to the coordinates actually computed.  The module
+uses no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
 
-#: circle crossings closer than this are one crossing (a circle through a
-#: quad vertex crosses both edges there)
-MERGE_EPS = 1e-12
-#: edges whose squared length is below this are points: they cross no circle
-NULL_EDGE_SQ = 1e-30
-#: slack on the segment parameter t in [0, 1] of a circle crossing; a root
-#: within it is clamped onto the segment's end
-CROSSING_T_SLACK = 1e-12
-#: a point this far outside an edge line still counts as inside a quad;
-#: ``circle_quad_arcs`` scales it by r for a circle of radius r < 1
-CONTAIN_TOL = 1e-12
 #: a quad whose doubled signed area is at most this in magnitude is
-#: degenerate: it has no circle table and shrinks to nothing
+#: degenerate: it shrinks to nothing
 DEGENERATE_AREA = 1e-14
 #: ``shrink_quad`` drops a quad with an edge shorter than this, or with two
 #: adjacent edge lines whose unit normals have a cross product below
@@ -49,14 +37,18 @@ SHRINK_MIN_DET = 1e-15
 PHANTOM_SLACK = 1e-12
 
 Point2 = tuple[float, float]
-#: a circle crossing: its angle on the circle where it was found, its
-#: ``circle_table`` crossing row and the root branch (-1.0 or +1.0) of the
-#: row's quadratic; the angle picks the turn of the crossing's angle on
-#: other circles
-Crossing = tuple[float, tuple[float, ...], float]
-Arcs = tuple[tuple[float, float, Crossing | None, Crossing | None], ...]
-#: ``circle_table``'s ``(crossing, sides)`` edge coefficients
-CircleTable = tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]
+#: an edge ``(x0, y0) + t (dx, dy)``, t in [0, 1], as ``(x0, y0, dx, dy, a,
+#: b, cc, 2a)``, where ``a t^2 + b t + cc - r^2 = 0`` puts the edge point on
+#: the circle of radius r about the origin
+EdgeRow = tuple[float, float, float, float, float, float, float, float]
+#: an edge as ``(lo, hi, row)``: its range [lo, hi] of distances from the
+#: origin and its ``EdgeRow``
+Edge = tuple[float, float, EdgeRow]
+#: a circle crossing: its angle on the circle where it was found, the
+#: ``EdgeRow`` of its edge and the root branch (-1.0 or +1.0) of the row's
+#: quadratic; the angle picks the turn of the crossing's angle on other
+#: circles
+Crossing = tuple[float, EdgeRow, float]
 
 
 def normalize_angle(a: float) -> float:
@@ -85,45 +77,7 @@ def covering_arc_of_angles(angles: Sequence[float]) -> tuple[float, float] | Non
 
 
 # ---------------------------------------------------------------------------
-# convex quadrilaterals and circle intersection
-
-
-def circle_table(vs: Sequence[Point2]) -> CircleTable | None:
-    """Per-edge coefficients of a convex quad for meeting circles about the
-    origin, or None for a degenerate quad (doubled area within DEGENERATE_AREA).
-
-    ``(crossing, sides)``, with the vertices taken in CCW order: ``crossing``
-    holds ``(x0, y0, dx, dy, a, b, cc, 2a)`` for every edge ``(x0, y0) + t
-    (dx, dy)`` of positive length, where ``a t^2 + b t + cc - r^2 = 0`` puts
-    the edge point on the circle of radius r; ``sides`` holds ``(x0, y0, dx,
-    dy)`` for all four edges, for the containment test.  Computed once per
-    quad, so a circle of each new radius costs only its radius-dependent terms.
-    """
-    area2 = _signed_area2(vs)
-    if abs(area2) <= DEGENERATE_AREA:
-        return None
-    if area2 < 0.0:
-        vs = vs[::-1]
-    crossing = []
-    sides = []
-    for i in range(4):
-        (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % 4]
-        dx, dy = x1 - x0, y1 - y0
-        sides.append((x0, y0, dx, dy))
-        a = dx * dx + dy * dy
-        if a < NULL_EDGE_SQ:
-            continue
-        b = 2.0 * (x0 * dx + y0 * dy)
-        crossing.append((x0, y0, dx, dy, a, b, x0 * x0 + y0 * y0, 2.0 * a))
-    return tuple(crossing), tuple(sides)
-
-
-def _inside(sides: tuple[tuple[float, ...], ...], x: float, y: float, tol: float) -> bool:
-    """Closed test of (x, y) against the CCW edge lines ``(x0, y0, dx, dy)``."""
-    for x0, y0, dx, dy in sides:
-        if dx * (y - y0) - dy * (x - x0) < -tol:
-            return False
-    return True
+# convex quadrilaterals and circle crossings
 
 
 def shrink_quad(vs: Sequence[Point2], delta: float) -> list[Point2] | None:
@@ -188,94 +142,62 @@ def _signed_area2(vs: Sequence[Point2]) -> float:
     return s
 
 
+def edge(p: Point2, q: Point2) -> Edge:
+    """The edge from p to q as an ``Edge``: lo is the distance of the
+    perpendicular foot from the origin where that falls strictly inside the
+    edge, and otherwise of the nearer end."""
+    (x0, y0), (x1, y1) = p, q
+    dx, dy = x1 - x0, y1 - y0
+    a, b = dx * dx + dy * dy, 2.0 * (x0 * dx + y0 * dy)
+    t = -b / (2.0 * a)
+    near, far = sorted((math.hypot(x0, y0), math.hypot(x1, y1)))
+    lo = math.hypot(x0 + t * dx, y0 + t * dy) if 0.0 < t < 1.0 else near
+    return lo, far, (x0, y0, dx, dy, a, b, x0 * x0 + y0 * y0, 2.0 * a)
+
+
 def circle_quad_arcs(
-    r: float, table: CircleTable | None, span_start: float = math.inf, span_end: float = -math.inf
-) -> Arcs:
-    """CCW arcs (start, end, start crossing, end crossing) of angles phi with
-    r*(cos phi, sin phi) inside the quad whose ``circle_table`` is ``table``,
-    pairwise disjoint and in increasing order.
+    edges: Sequence[Edge], radii: Sequence[float]
+) -> list[tuple[float, float, Crossing, Crossing] | None]:
+    """At each of the sorted ``radii``, the arc of C(r) from its smallest to
+    its largest crossing with ``edges``, as (start, end, start crossing, end
+    crossing); None where C(r) crosses no edge.
 
-    The circle is about the origin (translate the quad to move it).  It is
-    intersected with each edge, using the table's coefficients; the
-    resulting angular partition is classified by midpoint membership.  Each
-    end of an arc is labelled with the ``Crossing`` it lies on, so
-    ``crossing_angle`` can follow that end to other radii; a whole circle
-    inside the quad has no crossings, and its labels are None.  A piece of
-    the partition within [span_start, span_end] is neither tested nor
-    returned: a caller spanning the arcs of several quads skips the arcs
-    that cannot widen its span.  In exact geometry the circle crosses the
-    boundary of a convex quad at most 8 times, so at most 4 arcs lie
-    inside.  Near an edge tangency, though, the float discriminant leaves
-    two crossings about 1e-8 apart where there is one touch, and these
-    split one arc into adjacent arcs that share an end: at (3, 2.1009 deg),
-    R_1 and r = 0.8671861417025767, where C(r) grazes two edge lines, 5
-    arcs result; their span is the one arc's.  Zero-measure contacts
-    (tangency, a degenerate quad, whose table is None) give no arc: the
-    overlap machinery cares about interior points only.  Below unit radius
-    the membership tolerance shrinks with r: a small circle about the apex
-    of a thin rhomb lies wholly within CONTAIN_TOL of both its edge lines,
-    so with the absolute tolerance the arc outside the rhomb counted as
-    inside (at n = 3, theta = 90 deg - 1.7e-6 rad, R_1 and r = 3e-9, the
-    arcs covered the whole circle).
+    The circle is about the origin, and each crossing's angle lies in (0, 2
+    pi]: one at angle 0 reads 2 pi.  For a region in the lower half-plane
+    whose boundary is ``edges``, every arc of C(r) inside it lies in the
+    directions [pi, 2 pi], and where C(r) passes no vertex and grazes no
+    edge every crossing is an arc end, so this is the shortest arc covering
+    C(r) within the region, and no point is tested for membership.  Each
+    edge's distance range is bisected into the radii, so an edge is solved
+    only at the radii where C(r) can meet it.
+
+    The name is the per-rhomb kernel's that this replaced: the benchmark's
+    tracer looks the function up under it in ``verify``, and the rename
+    goes with the tracer's targets (ROADMAP item 1).
     """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    if table is None:
-        return ()
-    crossing, sides = table
-    tol = CONTAIN_TOL * r if r < 1.0 else CONTAIN_TOL
-    rr = r * r
-    crossings: list[Crossing] = []
-    for row in crossing:
+    starts = [math.inf] * len(radii)
+    ends = [-math.inf] * len(radii)
+    start_at: list = [None] * len(radii)
+    end_at: list = [None] * len(radii)
+    for lo, hi, row in edges:
         x0, y0, dx, dy, a, b, cc, a2 = row
-        disc = b * b - 4.0 * a * (cc - rr)
-        if disc < 0.0:
-            continue
-        sq = math.sqrt(disc)
-        for branch in (-1.0, 1.0):
-            t = (-b + branch * sq) / a2
-            if -CROSSING_T_SLACK <= t <= 1.0 + CROSSING_T_SLACK:
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                crossings.append(
-                    (math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI, row, branch)
-                )
-
-    # dedupe circularly (circle through a quad vertex hits two edges there)
-    crossings.sort()
-    dedup: list[Crossing] = []
-    for c in crossings:
-        if not dedup or c[0] - dedup[-1][0] > MERGE_EPS:
-            dedup.append(c)
-    if len(dedup) > 1 and dedup[0][0] + TWO_PI - dedup[-1][0] <= MERGE_EPS:
-        dedup.pop()
-
-    if not dedup:
-        if span_start <= 0.0 and TWO_PI <= span_end:
-            return ()
-        return ((0.0, TWO_PI, None, None),) if _inside(sides, r, 0.0, tol) else ()
-
-    arcs: list[tuple[float, float, Crossing | None, Crossing | None]] = []
-    m = len(dedup)
-    for i in range(m):
-        start = dedup[i]
-        if i < m - 1:
-            end = dedup[i + 1]
-        else:  # the last arc ends one turn up, on the first crossing
-            end = (dedup[0][0] + TWO_PI, *dedup[0][1:])
-        a, b = start[0], end[0]
-        if span_start <= a and b <= span_end:
-            continue
-        mid = 0.5 * (a + b)
-        x, y = r * math.cos(mid), r * math.sin(mid)
-        for x0, y0, dx, dy in sides:  # _inside, inlined on the beta profile's hot path
-            if dx * (y - y0) - dy * (x - x0) < -tol:
-                break
-        else:
-            arcs.append((a, b, start, end))
-    return tuple(arcs)
+        for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
+            disc = b * b - 4.0 * a * (cc - radii[k] * radii[k])
+            if disc < 0.0:
+                continue
+            sq = math.sqrt(disc)
+            for branch in (-1.0, 1.0):
+                t = (-b + branch * sq) / a2
+                if 0.0 <= t <= 1.0:
+                    angle = math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI or TWO_PI
+                    if angle < starts[k]:
+                        starts[k], start_at[k] = angle, (angle, row, branch)
+                    if angle > ends[k]:
+                        ends[k], end_at[k] = angle, (angle, row, branch)
+    return [
+        None if s == math.inf else (s, e, s_at, e_at)
+        for s, e, s_at, e_at in zip(starts, ends, start_at, end_at)
+    ]
 
 
 def crossing_angle(r: float, crossing: Crossing) -> float:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import NULL_EDGE_SQ, CircleTable, Point2, circle_table, covering_arc_of_angles
+from .geom import Edge, Point2, covering_arc_of_angles, edge
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
@@ -42,27 +42,31 @@ class PlanarZone:
         return np.array(self.corners, dtype=float)
 
     @cached_property
-    def circle_tables(self) -> tuple[CircleTable | None, ...]:
-        """Each rhomb's ``circle_table``; None only for the central rhomb
-        collapsed to a segment at theta = 0, n even."""
-        return tuple(map(circle_table, self.corners))
+    def boundary(self) -> tuple[Edge, ...]:
+        """The zone's boundary edges: R_1's pole-side edge, then each rhomb's
+        left-chain and right-chain edges, then R_{n-1}'s far edge, 2n edges
+        for the whole zone.  Each runs as in its rhomb's corners taken CCW,
+        the reverse of ``corners``' clockwise order."""
+        first, last = self.corners[0], self.corners[-1]
+        ends = [(first[1], first[0])]
+        for tl, tr, br, bl in self.corners:
+            ends += [(tl, bl), (br, tr)]
+        ends.append((last[3], last[2]))
+        return tuple(edge(p, q) for p, q in ends)
 
     @cached_property
     def rhomb_radii(self) -> tuple[tuple[float, ...], ...]:
         """Per rhomb: the distances from o of its four corners, in corner
         order (0.0 at o itself), then of the perpendicular foot from o on
-        each edge that is not null, where the foot falls strictly inside
-        the edge.  C(r) passes a corner or grazes an edge of the rhomb only
-        at these radii."""
+        each edge, where the foot falls strictly inside the edge.  C(r)
+        passes a corner or grazes an edge of the rhomb only at these
+        radii."""
         out = []
         for quad in self.corners:
             radii = [math.hypot(x, y) for x, y in quad]
             for (px, py), (qx, qy) in zip(quad, quad[1:] + quad[:1]):
                 dx, dy = qx - px, qy - py
-                dd = dx * dx + dy * dy
-                if dd < NULL_EDGE_SQ:
-                    continue
-                t = -(px * dx + py * dy) / dd
+                t = -(px * dx + py * dy) / (dx * dx + dy * dy)
                 if 0.0 < t < 1.0:
                     radii.append(math.hypot(px + t * dx, py + t * dy))
             out.append(tuple(radii))

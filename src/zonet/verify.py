@@ -9,11 +9,13 @@ Everything here is numeric but event-driven: the combinatorics of C(r) within
 the zone only change at radii where the circle passes through a vertex or
 grazes an edge.  beta is monotone between events and lower semicontinuous at
 them, so its supremum is one of its one-sided limits at the event radii.
-The profile takes each limit exactly: one circle-quad kernel pass per event
-interval names the two edge crossings the covering arc ends on, and a
-closed form follows them to both ends of the interval.  Each cell computes
-that profile once: at theta = 0 the upper-half and lower-half checks read
-their radius windows off the same profile that bounds beta by alpha.
+The profile takes each limit exactly: inside each event interval, the
+smallest and the largest crossing of C(r) with the zone's 2n boundary edges
+are the two crossings the covering arc ends on, and a closed form follows
+them to both ends of the interval.  Each cell computes that profile once:
+at theta = 0 the upper-half and lower-half checks, and the central rhomb's
+corner chord, read their radii off the same profile that bounds beta by
+alpha.
 
 The one fully exact check is the overlap oracle, which tests rhomb pairs of
 the assembled net with a filtered float predicate with an exact rational
@@ -28,7 +30,7 @@ or not, and is the reference for the orbit form.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +38,6 @@ import numpy as np
 
 from .geom import (
     TWO_PI,
-    Crossing,
     circle_quad_arcs,
     crossing_angle,
     polygons_interior_overlap,
@@ -54,9 +55,6 @@ EVENT_MERGE = 1e-12
 #: ``ON_AXIS_X``
 HORIZONTAL_DY = 1e-12
 ON_AXIS_X = 1e-9
-#: the chord at the central rhomb's corner radius is measured this far inside
-#: that radius (and at least this far from o)
-CORNER_RADIUS_OFFSET = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +72,16 @@ class Limit(NamedTuple):
 
 
 def beta_of_r(zone: PlanarZone, r: float) -> float | None:
-    """Covering-arc angle of C(r) within the zone; None if C(r) misses it."""
-    arc = _covering_arcs(zone, [r])[0]
+    """Covering-arc angle of C(r) within the zone; None if C(r) misses it.
+
+    The span of ``circle_quad_arcs``.  At an event radius e, where C(e)
+    passes a vertex or grazes an edge, the span also counts C(e)'s isolated
+    contacts with the zone; they lie in the closure of the arcs of nearby
+    circles, so beta(e) is at most the larger one-sided limit, beta(e-) or
+    beta(e+), within a few ulps of 2 pi.  That is the bound that lets
+    ``beta_profile`` skip e.
+    """
+    arc = circle_quad_arcs(zone.boundary, [r])[0]
     return None if arc is None else arc[1] - arc[0]
 
 
@@ -93,7 +99,7 @@ def critical_radii(zone: PlanarZone) -> list[float]:
 
 def kernel_radii(events: list[float]) -> list[float]:
     """The midpoint of each event interval (0, e_1), (e_1, e_2), ...: the one
-    radius of each interval where ``beta_profile`` runs the kernel."""
+    radius of each interval where ``beta_profile`` solves the boundary."""
     return [0.5 * (lo + hi) for lo, hi in zip([0.0, *events], events)]
 
 
@@ -121,57 +127,29 @@ def beta_profile(zone: PlanarZone) -> list[Limit]:
     """Every one-sided limit of beta at ``sample_radii``, in that order,
     skipping the intervals where C(r) misses the zone.
 
-    The kernel runs once per event interval, at its ``kernel_radii`` entry,
-    and names the two crossings the covering arc ends on there; they are its
-    ends on the whole interval (see ``sample_radii``), so ``crossing_angle``
-    follows them to both ends of the interval in closed form.
+    The zone lies below o: its pole-side edge runs along the x axis and
+    every left-chain step is (cos g, -sin g) with g in (0, pi].  So every
+    arc of C(r) inside it lies in the directions [pi, 2 pi], and beta is the
+    span from the first arc's start to the last arc's end, at most pi.
+    Inside an event interval C(r) meets no vertex and grazes no edge, so
+    every crossing of C(r) with the zone's boundary is an arc end, and the
+    span runs from the smallest crossing to the largest: at each interval's
+    ``kernel_radii`` entry, ``circle_quad_arcs`` names those two crossings
+    of ``PlanarZone.boundary``.  They are the arc's ends on the whole
+    interval (see ``sample_radii``), so ``crossing_angle`` follows them to
+    both ends of the interval in closed form.
     """
     radii = sample_radii(zone)
     events = radii[::2]  # every event twice but the last, so each once
     profile = []
-    for lo, hi, arc in zip([0.0, *events], events, _covering_arcs(zone, kernel_radii(events))):
+    arcs = circle_quad_arcs(zone.boundary, kernel_radii(events))
+    for lo, hi, arc in zip([0.0, *events], events, arcs):
         if arc is None:
             continue
         _, _, start, end = arc
         for r in (lo, hi) if lo > 0.0 else (hi,):  # beta(0+) = beta(e_1-)
             profile.append(Limit(r, crossing_angle(r, end) - crossing_angle(r, start), lo, hi))
     return profile
-
-
-def _covering_arcs(
-    zone: PlanarZone, radii: list[float]
-) -> list[tuple[float, float, Crossing, Crossing] | None]:
-    """At each of the sorted ``radii``, the shortest arc covering C(r) within
-    the zone as (start, end, start crossing, end crossing); None where C(r)
-    misses the zone.  Every end is a crossing: o is a corner of R_1 and
-    outside every other rhomb, so no rhomb holds a whole circle about o.
-
-    One sweep over the rhombs: each rhomb's radius range is bisected into
-    the radii, and its arcs are folded into the arcs of the radii in that
-    range.  The zone lies below o: its pole-side edge runs along the x axis
-    and every left-chain step is (cos g, -sin g) with g in (0, pi].  So
-    every arc of C(r) inside it lies in the directions [pi, 2 pi], the
-    covering arc runs from the first start to the last end, and an arc
-    within the covering arc so far cannot move either end: the kernel skips
-    it.
-    """
-    starts = [math.inf] * len(radii)
-    ends = [-math.inf] * len(radii)
-    start_at: list = [None] * len(radii)
-    end_at: list = [None] * len(radii)
-    for (lo, hi), table in zip(zone.radius_ranges, zone.circle_tables):
-        if table is None:  # the central rhomb collapsed to a segment
-            continue
-        for k in range(bisect_left(radii, lo), bisect_right(radii, hi)):
-            for s, e, s_at, e_at in circle_quad_arcs(radii[k], table, starts[k], ends[k]):
-                if s < starts[k]:
-                    starts[k], start_at[k] = s, s_at
-                if e > ends[k]:
-                    ends[k], end_at[k] = e, e_at
-    return [
-        None if s == math.inf else (s, e, s_at, e_at)
-        for s, e, s_at, e_at in zip(starts, ends, start_at, end_at)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +224,9 @@ def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
     every chord of C(r) within the zone short of length 2.  ``profile`` is
     the zone's ``beta_profile``: the chords are measured at the limits on the
     event intervals that meet the central rhomb's radius range, each 2 r
-    sin(beta / 2), as beta <= pi (see ``_covering_arcs``).  At theta = 0 the
-    chord also reaches 2 at the rhomb's near corner radius, which is
-    measured there alone.
+    sin(beta / 2), as beta <= pi (see ``beta_profile``).  At theta = 0
+    the chord also reaches 2 at the rhomb's near corner radius, an event
+    radius: it is read off the profile's limit beta(r_corner-) there alone.
     """
     n = zone.n
     if n % 2 != 0:
@@ -274,9 +252,14 @@ def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
     )
     chord_corner = None
     if theta == 0.0:
-        r_corner = max(ra - CORNER_RADIUS_OFFSET, CORNER_RADIUS_OFFSET)
-        b = beta_of_r(zone, r_corner)
-        chord_corner = 0.0 if b is None else 2.0 * r_corner * math.sin(b / 2.0)
+        chord_corner = next(
+            (
+                2.0 * lim.r * math.sin(lim.beta / 2.0)
+                for lim in profile
+                if lim.r == lim.hi and abs(lim.r - ra) <= EVENT_MERGE
+            ),
+            0.0,
+        )
     return FlatRhombReport(corner, axis_d, cross_d, rb - ra, worst, chord_corner)
 
 

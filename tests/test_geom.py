@@ -1,4 +1,4 @@
-"""Covering arcs of directions, circle/quad clipping, and exact predicates."""
+"""Covering arcs of directions, circle crossings, and exact predicates."""
 
 import math
 from fractions import Fraction
@@ -7,16 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_circle_quad_arcs
+
 from zonet import geom
 from zonet.geom import (
     circle_quad_arcs,
-    circle_table,
     covering_arc_of_angles,
     crossing_angle,
     normalize_angle,
     polygons_interior_overlap,
     shrink_quad,
 )
+from zonet.unfold import PlanarZone
 from zonet.verify import OVERLAP_SLACK
 
 TWO_PI = 2.0 * math.pi
@@ -25,11 +27,6 @@ TWO_PI = 2.0 * math.pi
 def measure(arcs):
     """Total length of pairwise-disjoint arcs."""
     return sum(e - s for s, e, *_ in arcs)
-
-
-def plain(arcs):
-    """``circle_quad_arcs``'s arcs without their crossing labels."""
-    return tuple((s, e) for s, e, *_ in arcs)
 
 
 class TestShortestCoveringArc:
@@ -78,9 +75,13 @@ def translated(vs, center):
     return tuple((x - center[0], y - center[1]) for x, y in vs)
 
 
-class TestCircleQuadArcs:
+class TestReferenceCircleQuadArcs:
+    """The per-rhomb reference kernel that ``circle_quad_arcs`` is checked
+    against, checked itself against the unit square and brute-force
+    membership sampling."""
+
     def arcs(self, center, r):
-        return circle_quad_arcs(r, circle_table(translated(UNIT_SQUARE, center)))
+        return reference_circle_quad_arcs(center, r, UNIT_SQUARE)
 
     def test_circle_missing_quad(self):
         arcs = self.arcs((5.0, 5.0), 1.0)
@@ -98,10 +99,11 @@ class TestCircleQuadArcs:
     def test_hairline_gap_past_the_far_edge_is_kept(self):
         """C(r) bulges 1e-10 past the edge y = 1 near (0, 1): the midpoint of
         that gap is outside by 2e-10 in the edge's cross product, beyond
-        CONTAIN_TOL, so the two arcs stay apart."""
-        table = circle_table(((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)))
+        the reference's 1e-12 membership tolerance, so the two arcs stay
+        apart."""
+        quad = ((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0))
         r = 1.0 + 1e-10
-        arcs = sorted(plain(circle_quad_arcs(r, table)))
+        arcs = sorted(reference_circle_quad_arcs((0.0, 0.0), r, quad))
         assert len(arcs) == 2
         # the crossings sit at pi/2 -+ asin(sqrt(r*r - 1) / r), about 1.4e-5
         gap = arcs[1][0] - arcs[0][1]
@@ -111,7 +113,7 @@ class TestCircleQuadArcs:
     def test_circle_just_past_the_farthest_vertex_misses(self):
         vs = ((-1.0, 0.5), (1.0, 0.5), (1.0, 1.0), (-1.0, 1.0))
         far = max(math.hypot(*v) for v in vs)
-        assert circle_quad_arcs(far + 1e-10, circle_table(vs)) == ()
+        assert reference_circle_quad_arcs((0.0, 0.0), far + 1e-10, vs) == ()
 
     @given(
         st.floats(-1.5, 2.5),
@@ -134,90 +136,12 @@ class TestCircleQuadArcs:
         assert measure(arcs) == pytest.approx(sampled, abs=4.0 * TWO_PI / m + 1e-9)
 
 
-def _reference_segment_circle_params(p, q, r):
-    """Parameters t in [0,1] where segment p+t(q-p) meets the circle |x|=r."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    a = dx * dx + dy * dy
-    if a < 1e-30:
-        return []
-    b = 2.0 * (p[0] * dx + p[1] * dy)
-    c = p[0] * p[0] + p[1] * p[1] - r * r
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    ts = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    out = []
-    for t in ts:
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            out.append(min(max(t, 0.0), 1.0))
-    return out
-
-
-def _reference_contains(vs, p, tol=1e-12):
-    for i in range(4):
-        a, b = vs[i], vs[(i + 1) % 4]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross < -tol:
-            return False
-    return True
-
-
-def reference_circle_quad_arcs(center, r, vs):
-    """The circle/quad kernel as it was before each quad cached its edge
-    table: it orients the quad ``vs`` CCW and moves it by -center on every
-    call and recomputes every edge coefficient.  The cached kernel must
-    return the same floats.  Its membership tolerance is 1e-12, times r
-    below unit radius."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    area2 = geom._signed_area2(vs)
-    if abs(area2) <= geom.DEGENERATE_AREA:
-        return ()
-    if area2 < 0.0:
-        vs = vs[::-1]
-    vs = [(x - center[0], y - center[1]) for x, y in vs]
-
-    crossings = []
-    for i in range(4):
-        p0, p1 = vs[i], vs[(i + 1) % 4]
-        for t in _reference_segment_circle_params(p0, p1, r):
-            x = p0[0] + t * (p1[0] - p0[0])
-            y = p0[1] + t * (p1[1] - p0[1])
-            crossings.append(math.atan2(y, x) % TWO_PI)
-
-    tol = 1e-12 * min(r, 1.0)
-    crossings.sort()
-    dedup = []
-    for a in crossings:
-        if not dedup or a - dedup[-1] > geom.MERGE_EPS:
-            dedup.append(a)
-    if len(dedup) > 1 and dedup[0] + TWO_PI - dedup[-1] <= geom.MERGE_EPS:
-        dedup.pop()
-
-    if not dedup:
-        return ((0.0, TWO_PI),) if _reference_contains(vs, (r, 0.0), tol) else ()
-
-    arcs = []
-    m = len(dedup)
-    for i in range(m):
-        a = dedup[i]
-        b = dedup[(i + 1) % m]
-        if i == m - 1:
-            b += TWO_PI
-        mid = 0.5 * (a + b)
-        if _reference_contains(vs, (r * math.cos(mid), r * math.sin(mid)), tol):
-            arcs.append((a, b))
-    return tuple(arcs)
-
-
 @st.composite
 def circles_and_quads(draw):
     """A convex quad (four points in angular order on an ellipse), a circle
     center, and a radius that is free, reaches a vertex exactly or within a
-    few 1e-13 (crossings just off a segment's end, near the ``t`` slack), or
-    is the distance to an edge's line (a tangent circle when the foot is on
-    the edge)."""
+    few 1e-13 (crossings just off a segment's end), or is the distance to an
+    edge's line (a tangent circle when the foot is on the edge)."""
     f = st.floats
     angles = sorted(draw(st.lists(f(0.0, TWO_PI), min_size=4, max_size=4)))
     gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + TWO_PI - angles[-1]]
@@ -247,79 +171,48 @@ def circles_and_quads(draw):
     return q, center, r
 
 
-class TestCachedKernelMatchesReference:
-    @given(circles_and_quads())
-    @settings(max_examples=400, deadline=None)
-    def test_arcs_are_bit_identical(self, case):
-        q, center, r = case
-        table = circle_table(translated(q, center))
-        assert plain(circle_quad_arcs(r, table)) == reference_circle_quad_arcs(center, r, q)
-
-    def test_every_edge_of_a_point_quad_is_dropped(self):
-        point = ((1.0, 1.0),) * 4
-        assert circle_table(point) is None
-        assert circle_quad_arcs(1.0, None) == reference_circle_quad_arcs((0.0, 0.0), 1.0, point)
-
-    def test_a_null_edge_is_dropped(self):
-        """A triangle with a doubled corner: three crossing edges, four sides."""
-        triangle = ((0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
-        crossing, sides = circle_table(triangle)
-        assert len(crossing) == 3 and len(sides) == 4
-        for r in (0.5, 1.0, 1.5, 2.0):
-            expected = reference_circle_quad_arcs((0.0, 0.0), r, triangle)
-            assert plain(circle_quad_arcs(r, (crossing, sides))) == expected
-
-    def test_degenerate_quad_gives_no_arc(self):
-        flat = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0))
-        assert circle_table(flat) is None
-        assert circle_quad_arcs(1.0, None) == ()
+def quad_boundary(quad):
+    """The quad's four edges as a one-rhomb zone's ``PlanarZone.boundary``."""
+    return PlanarZone(3, 0.0, 0.0, (tuple(quad),)).boundary
 
 
 class TestCrossingLabels:
-    """Each arc end names the edge root it lies on; ``crossing_angle``
-    follows that root to other radii."""
+    """Each covering-arc end from ``circle_quad_arcs`` names the edge root
+    it lies on; ``crossing_angle`` follows that root to other radii."""
 
     @given(circles_and_quads())
     @settings(max_examples=300, deadline=None)
     def test_labels_give_back_the_arc_ends(self, case):
         q, center, r = case
-        for s, e, s_at, e_at in circle_quad_arcs(r, circle_table(translated(q, center))):
-            if s_at is None:
-                assert (s, e, e_at) == (0.0, TWO_PI, None)
-            else:
-                assert (crossing_angle(r, s_at), crossing_angle(r, e_at)) == (s, e)
-
-    @given(circles_and_quads(), st.floats(-10.0, 10.0), st.floats(0.0, 10.0))
-    @settings(max_examples=300, deadline=None)
-    def test_arcs_within_the_span_are_skipped(self, case, span_start, width):
-        """Given a span, the kernel returns the arcs it returns without one,
-        less those lying within the span."""
-        q, center, r = case
-        table = circle_table(translated(q, center))
-        span_end = span_start + width
-        expected = tuple(
-            arc for arc in circle_quad_arcs(r, table)
-            if not (span_start <= arc[0] and arc[1] <= span_end)
-        )
-        assert circle_quad_arcs(r, table, span_start, span_end) == expected
+        arc, = circle_quad_arcs(quad_boundary(translated(q, center)), [r])
+        if arc is not None:
+            s, e, s_at, e_at = arc
+            assert (crossing_angle(r, s_at), crossing_angle(r, e_at)) == (s, e)
 
     def test_a_crossing_keeps_its_turn(self):
         """A unit rhomb below the x axis with a corner at (1, 0): at r = 1.5
         the arc ends on the edge up to (1, 0), near (1.375, -0.6), and followed
         down to r = 1 that end reaches the x axis at 2 pi, not 0."""
         quad = ((0.0, 0.0), (1.0, 0.0), (1.5, -0.8), (0.5, -0.8))
-        (s, e, s_at, e_at), = circle_quad_arcs(1.5, circle_table(quad))
+        (s, e, s_at, e_at), = circle_quad_arcs(quad_boundary(quad), [1.5])
         assert e == pytest.approx(TWO_PI - math.atan2(0.6, 1.375), abs=1e-3)
         assert crossing_angle(1.0, e_at) == TWO_PI
         assert crossing_angle(1.0, (e_at[0] - TWO_PI, *e_at[1:])) == 0.0
+
+    def test_a_crossing_at_angle_zero_reads_two_pi(self):
+        """Near o, C(r) meets R_1 alone: from its left edge to its pole-side
+        edge, which it crosses at angle 0, read one turn up."""
+        quad = ((0.0, 0.0), (1.0, 0.0), (1.5, -0.8), (0.5, -0.8))
+        (s, e, _, e_at), = circle_quad_arcs(quad_boundary(quad), [0.5])
+        assert e == e_at[0] == TWO_PI
+        assert s == pytest.approx(TWO_PI - math.atan2(0.8, 0.5), abs=1e-12)
 
     def test_a_graze_clamps_the_discriminant(self):
         """Followed to the radius where C(r) grazes the edge y = -1, both
         roots meet at the foot (0, -1), where the float discriminant may be
         slightly negative."""
         quad = ((-1.0, -1.0), (1.0, -1.0), (1.0, -2.0), (-1.0, -2.0))
-        arcs = circle_quad_arcs(1.2, circle_table(quad))
-        (_, _, s_at, e_at), = arcs
+        (_, _, s_at, e_at), = circle_quad_arcs(quad_boundary(quad), [1.2])
         for at in (s_at, e_at):
             assert crossing_angle(1.0, at) == pytest.approx(1.5 * math.pi, abs=1e-15)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonet import geom
 from zonet.cli import DEFAULT_THETAS, parse_theta
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.zonohedron import Params, Zonohedron, build
@@ -165,6 +166,29 @@ class TestIsometry:
                 d = math.dist(quad[i], quad[(i + 1) % 4])
                 assert d == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "ns,theta",
+        [
+            *(pytest.param(range(3, 33), t, id=f"n3..32-{t}") for t in DEFAULT_THETAS.split(",")),
+            *(
+                pytest.param((64, 512, 2048), t, id=f"large-n-{t}")
+                for t in ("0", "0.01", "20", "89.999", "1e-12rad")
+            ),
+        ],
+    )
+    def test_every_edge_is_a_unit_step(self, ns, theta):
+        """Every developed edge is (1, 0) or (cos g, -sin g), the collapsed
+        rhomb's at theta = 0 included: its squared length is 1 within a few
+        ulps of the coordinates it is the difference of (2.5 at most over
+        these cells), so no edge is null, and a circle crosses each edge's
+        line in a quadratic with leading coefficient 1."""
+        for n in ns:
+            for quad in planar_zone(n, parse_theta(theta)).corners:
+                for p, q in zip(quad, quad[1:] + quad[:1]):
+                    dx, dy = q[0] - p[0], q[1] - p[1]
+                    scale = max(1.0, *map(abs, p + q))
+                    assert abs(dx * dx + dy * dy - 1.0) <= 4.0 * math.ulp(scale), (n, p, q)
+
     def test_rhomb_angles_match_solid(self):
         from zonet.zonohedron import rhomb_angle
 
@@ -243,12 +267,17 @@ class TestThetaZero:
         assert area < 1e-12
 
     @pytest.mark.parametrize("n", range(3, 33))
-    def test_only_the_collapsed_rhomb_has_no_circle_table(self, n):
+    def test_only_the_collapsed_rhomb_is_degenerate(self, n):
         """At theta = 0 the collapsed central rhomb (n even) is the one
-        degenerate rhomb; at theta = 1e-12 rad no rhomb is degenerate."""
-        missing = [k for k, t in enumerate(planar_zone(n, 0.0).circle_tables) if t is None]
-        assert missing == ([n // 2 - 1] if n % 2 == 0 else [])
-        assert None not in planar_zone(n, 1e-12).circle_tables
+        rhomb whose doubled area is within ``DEGENERATE_AREA``; at theta =
+        1e-12 rad no rhomb is."""
+
+        def degenerate(theta):
+            areas = map(geom._signed_area2, planar_zone(n, theta).corners)
+            return [k for k, a in enumerate(areas) if abs(a) <= geom.DEGENERATE_AREA]
+
+        assert degenerate(0.0) == ([n // 2 - 1] if n % 2 == 0 else [])
+        assert degenerate(1e-12) == []
 
     @pytest.mark.parametrize("n", [7, 10, 16, 17])
     def test_s_shape_point_symmetry(self, n):

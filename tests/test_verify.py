@@ -7,8 +7,12 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_oracle
-from test_geom import _reference_contains
+from reference import (
+    reference_betas,
+    reference_circle_quad_arcs,
+    reference_contains,
+    reference_oracle,
+)
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS, parse_theta
@@ -59,7 +63,7 @@ class TestBetaOfR:
                 a = 2 * math.pi * (i + 0.5) / m
                 p = (r * math.cos(a), r * math.sin(a))
                 # the developed rhombs run clockwise: reversed, they run CCW
-                if any(_reference_contains(q[::-1], p) for q in zone.corners):
+                if any(reference_contains(q[::-1], p) for q in zone.corners):
                     inside.append(a)
             assert beta_of_r(zone, r) == pytest.approx(
                 max(inside) - min(inside), abs=2 * 2 * math.pi / m
@@ -109,42 +113,13 @@ class TestZoneBelowPole:
             r = radii[pick % len(radii)]
         else:
             r = pick * max(radius for _, radius in zone.radius_ranges)
-        for table in zone.circle_tables:
-            for start, end, *_ in circle_quad_arcs(r, table):
+        for quad in zone.corners:
+            for start, end in reference_circle_quad_arcs((0.0, 0.0), r, quad):
                 assert math.pi <= start < end <= 2.0 * math.pi, (r, start, end)
 
 
-def span(arcs):
-    """From the first start to the last end of ``arcs``, None for no arcs:
-    beta, since every arc of C(r) in a zone lies in the directions [pi, 2 pi]."""
-    return max(a[1] for a in arcs) - min(a[0] for a in arcs) if arcs else None
-
-
-def arcs_over_every_rhomb(zone, r):
-    """The arcs of C(r) inside the zone, from every rhomb's ``circle_table``
-    with no radius-range filter."""
-    return [a for table in zone.circle_tables for a in circle_quad_arcs(r, table)]
-
-
-def reference_betas(zone, radii):
-    """beta at ``radii`` with the arcs of each radius collected as before the
-    per-quad edge tables: every rhomb is re-tested against its radius range
-    and clipped by the uncached reference kernel, and every arc is spanned."""
-    from test_geom import reference_circle_quad_arcs
-
-    out = []
-    for r in radii:
-        pieces = []
-        for (dmin, dmax), quad in zip(zone.radius_ranges, zone.corners):
-            if dmin - 1e-12 <= r <= dmax + 1e-12:
-                pieces.extend(reference_circle_quad_arcs((0.0, 0.0), r, quad))
-        out.append(span(pieces))
-    return out
-
-
-def event_and_kernel_radii(zone):
-    events = critical_radii(zone)
-    return sorted(events + kernel_radii(events))
+def kernel_radii_of(zone):
+    return kernel_radii(critical_radii(zone))
 
 
 def sub_zone(zone, idx):
@@ -154,32 +129,47 @@ def sub_zone(zone, idx):
 
 
 class TestProfileMatchesReference:
-    """The per-quad edge tables and the fold that skips arcs within the span
-    so far give the bits of the uncached reference kernel's span, at the
-    kernel radii the profile runs at and at the events."""
+    """At the kernel radii, where the profile runs it, the boundary span is
+    beta as the per-rhomb reference kernel spans it over every rhomb.
 
-    @pytest.mark.parametrize("n", range(3, 17))
-    def test_profiles_are_bit_identical(self, n):
-        for theta_deg in (*(float(t) for t in DEFAULT_THETAS.split(",")), 37.3):
-            zone = planar_zone(n, math.radians(theta_deg))
-            radii = event_and_kernel_radii(zone)
-            assert [beta_of_r(zone, r) for r in radii] == reference_betas(zone, radii), theta_deg
-
-
-class TestExactRangeFilter:
-    """Choosing the rhombs C(r) can meet by their exact [min, max] distance
-    from o drops no arc: at a radius at an end of a rhomb's range, C(r)
-    only touches the rhomb, and a touch gives no arc."""
+    They agree bit for bit except at theta = 1e-12 rad, where the bound is
+    1e-12: there the central rhomb is about 1e-12 thin, so C(r) crosses it
+    about 1e-12 apart, and the reference's crossing merge (``MERGE_EPS``)
+    joins or drops those crossings and moves its span's ends, by up to
+    9.6e-13 (22 of the 18,753 kernel radii here).  At event radii the two
+    differ by design: the span also counts C(e)'s isolated contacts (see
+    ``beta_of_r``)."""
 
     @pytest.mark.parametrize(
         "theta", (*DEFAULT_THETAS.split(","), "37.3", "1e-6rad", "1e-12rad")
     )
-    def test_beta_equals_beta_over_every_rhomb(self, theta):
+    def test_beta_equals_the_reference_span(self, theta):
         for n in range(3, 33):
             zone = planar_zone(n, parse_theta(theta))
-            radii = event_and_kernel_radii(zone)
-            expected = [span(arcs_over_every_rhomb(zone, r)) for r in radii]
-            assert [beta_of_r(zone, r) for r in radii] == expected, n
+            radii = kernel_radii_of(zone)
+            got, expected = [beta_of_r(zone, r) for r in radii], reference_betas(zone, radii)
+            if theta != "1e-12rad":
+                assert got == expected, n
+                continue
+            assert [b is None for b in got] == [b is None for b in expected], n
+            for r, b, ref in zip(radii, got, expected):
+                if b is not None:
+                    assert abs(b - ref) <= 1e-12, (n, r)
+
+
+class TestExactRangeFilter:
+    """Solving each boundary edge only at the kernel radii within its exact
+    [min, max] distance from o drops no crossing: the covering arcs and
+    their labels are those of every edge solved at every kernel radius."""
+
+    @pytest.mark.parametrize("theta", ("0", "0.5", "20", "89.5", "1e-12rad"))
+    def test_the_filter_changes_no_bit(self, theta):
+        for n in (*range(3, 33), 64):
+            zone = planar_zone(n, parse_theta(theta))
+            radii = kernel_radii_of(zone)
+            unfiltered = tuple((0.0, math.inf, row) for _, _, row in zone.boundary)
+            filtered = circle_quad_arcs(zone.boundary, radii)
+            assert filtered == circle_quad_arcs(unfiltered, radii), n
 
 
 class TestOneProfilePerCell:
@@ -241,10 +231,9 @@ class TestEventOnlyProfile:
     largest measured excess is one such ulp, which at small alpha is 64
     ulps of alpha.
 
-    theta starts at 1e-6 deg.  Near 1e-10 deg two events lie 3.5e-12 apart,
-    and an interior radius there meets a near-tangent edge within
-    CONTAIN_TOL, which widens the kernel's arc by about sqrt(2 *
-    CONTAIN_TOL)."""
+    theta starts at 1e-6 deg.  At 1e-9 and 1e-10 deg, where the closest
+    events lie 3.4e-11 and 3.4e-12 apart, interior radii read up to 1.3e-10
+    above the limits (n 8..20)."""
 
     @given(st.integers(3, 20), st.one_of(st.just(0.0), st.floats(1e-6, 89.5)))
     @settings(max_examples=60, deadline=None)
@@ -259,8 +248,9 @@ class TestEventOnlyProfile:
     @given(st.integers(3, 64), st.one_of(st.just(0.0), st.floats(1e-6, 89.5)))
     @settings(max_examples=60, deadline=None)
     def test_the_events_need_no_sample(self, n, theta_deg):
-        """The kernel's beta at an event is at most the larger one-sided
-        limit there, so the profile can drop the sample at e itself."""
+        """``beta_of_r``'s contract at an event radius: beta(e), isolated
+        contacts included, is at most the larger one-sided limit there, so
+        the profile can drop the sample at e itself."""
         zone = planar_zone(n, math.radians(theta_deg))
         limits = {}
         for lim in beta_profile(zone):
@@ -274,7 +264,8 @@ def eps_sampled_max_beta(zone, eps=1e-9):
     """max beta over every event e and e -+ eps: the profile as it was
     sampled before it took one-sided limits."""
     radii = sorted({r for e in critical_radii(zone) for r in (e - eps, e, e + eps) if r > 0.0})
-    return max(arc[1] - arc[0] for arc in verify._covering_arcs(zone, radii) if arc is not None)
+    arcs = circle_quad_arcs(zone.boundary, radii)
+    return max(arc[1] - arc[0] for arc in arcs if arc is not None)
 
 
 class TestLimitsReplaceNeighbourSamples:
@@ -432,13 +423,17 @@ class TestFlatRhomb:
         fr = flat_rhomb(16, 0.0)
         assert fr.chord_at_corner_radius == pytest.approx(2.0, abs=1e-9)
 
-    def test_corner_chord_is_measured_at_theta_zero_only(self, monkeypatch):
-        """No rule reads the chord at the corner radius above theta = 0, so
-        no kernel pass is spent on it there."""
-        zone = planar_zone(16, math.radians(20.0))
-        profile = beta_profile(zone)
+    @pytest.mark.parametrize("n", range(4, 33, 2))
+    def test_corner_chord_is_measured_at_theta_zero_only(self, monkeypatch, n):
+        """No rule reads the chord at the corner radius above theta = 0; at
+        theta = 0 it is read off the profile's limit beta(r_corner-), with
+        no kernel pass of its own, and is 2 to within a few ulps."""
         monkeypatch.setattr(verify, "beta_of_r", None)
-        assert flat_rhomb_check(zone, profile).chord_at_corner_radius is None
+        zone = planar_zone(n, math.radians(20.0))
+        assert flat_rhomb_check(zone, beta_profile(zone)).chord_at_corner_radius is None
+        zone = planar_zone(n, 0.0)
+        chord = flat_rhomb_check(zone, beta_profile(zone)).chord_at_corner_radius
+        assert abs(chord - 2.0) <= 1e-13
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
