@@ -50,11 +50,6 @@ STRICT_MARGIN = 1e-12
 ANGLE_TOL = 1e-10
 #: event radii closer than this are one event computed two ways
 EVENT_MERGE = 1e-12
-#: a candidate diagonal whose |dy| is below this is horizontal, and its
-#: bisector, the vertical line x = mx, passes through o when |mx| is below
-#: ``ON_AXIS_X``
-HORIZONTAL_DY = 1e-12
-ON_AXIS_X = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -162,40 +157,28 @@ def rhomb_subtended_angles(zone: PlanarZone) -> list[float]:
     return [length for _, length in zone.direction_arcs]
 
 
-def candidate_diagonal(quad) -> tuple:
-    """The diagonal that could be a chord of a circle about o.
-
-    A chord has endpoints equidistant from the center, so the candidate is the
-    diagonal whose endpoint distances from o are the more nearly equal.
-    """
-    tl, tr, br, bl = quad
-    best = None
-    for p, q in ((tr, bl), (tl, br)):
-        imbalance = abs(math.hypot(*q) - math.hypot(*p))
-        if best is None or imbalance < best[0]:
-            best = (imbalance, (p, q))
-    return best[1]
-
-
 def diagonal_perpendicular_test(zone: PlanarZone) -> list[float]:
-    """Signed heights where each candidate diagonal's perpendicular bisector
-    crosses the vertical line through o, for rhombs R_2..R_{n-1}.
+    """For rhombs R_2..R_{n-1}, the larger of the two signed heights where
+    the rhomb's diagonal lines cross the vertical line through o.
 
-    The bisector of one rhomb diagonal is the line of the other diagonal; a
-    negative value means it passes below o, so the diagonal cannot be a chord
-    of any circle about o.  List index k holds rhomb R_{k+2}.
+    The line of one rhomb diagonal is the perpendicular bisector of the
+    other, so a negative value means both bisectors pass below o and
+    neither diagonal can be a chord of any circle about o.  Each diagonal
+    is read by its role: the top edge leaves tl at angle ``top`` and the
+    left side at ``left``, each the atan2 of one difference of corners, and
+    the tl-br diagonal bisects that corner, so its slope is tan((top +
+    left) / 2) and the tr-bl diagonal is perpendicular to it.  In the
+    developed zone top = 0 and left = -gamma_k with gamma_k in (0, pi) for
+    theta > 0, so the half-angle lies strictly inside (-pi/2, 0): neither
+    line is vertical or horizontal, and both cross x = 0.  List index k
+    holds rhomb R_{k+2}.
     """
     offsets = []
-    for quad in zone.corners[1:]:
-        p, q = candidate_diagonal(quad)
-        mx, my = (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        if abs(dy) < HORIZONTAL_DY:
-            # horizontal diagonal: the bisector is the vertical line x = mx,
-            # which passes through o exactly when mx = 0
-            offsets.append(0.0 if abs(mx) < ON_AXIS_X else math.copysign(math.inf, -1.0))
-            continue
-        offsets.append(my + (mx / dy) * dx)
+    for (tlx, tly), (trx, try_), _, (blx, bly) in zone.corners[1:]:
+        top = math.atan2(try_ - tly, trx - tlx)
+        left = math.atan2(bly - tly, blx - tlx)
+        slope = math.tan((top + left) / 2.0)
+        offsets.append(max(tly - tlx * slope, try_ + trx / slope))
     return offsets
 
 
@@ -205,9 +188,9 @@ def diagonal_perpendicular_test(zone: PlanarZone) -> list[float]:
 
 @dataclass(frozen=True)
 class FlatRhombReport:
-    corner_angle: float  # the central-rhomb corner angle that matches 2*theta
-    axis_diagonal: float  # along the near-flat axis: 2*cos(theta) in theory
-    cross_diagonal: float  # across it: 2*sin(theta), the "lift" of the far end
+    corner_angle: float  # pi minus the corner at tl: 2*theta in theory
+    axis_diagonal: float  # tr-bl, along the near-flat axis: 2*cos(theta) in theory
+    cross_diagonal: float  # tl-br, across it: 2*sin(theta), the "lift" of the far end
     radial_lift: float  # |o b| - |o a| for the axis-diagonal ends a, b
     max_chord: float  # over the profile's limits on intervals meeting the central rhomb
     chord_at_corner_radius: float | None  # at theta = 0 only; None above it
@@ -216,12 +199,14 @@ class FlatRhombReport:
 def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
     """Measurements backing the chord bound |xy| < 2 at the central rhomb.
 
-    Requires n even.  The central rhomb has unit sides and one corner angle
-    equal to 2*theta, so its diagonals are exactly 2*cos(theta) (the near-flat
-    axis, approaching the doubled unit segment as theta -> 0) and 2*sin(theta)
-    (how far the outer end is pushed off that axis).  That push strictly
-    raises the outer end's radius from o once theta > 0, which is what keeps
-    every chord of C(r) within the zone short of length 2.  ``profile`` is
+    Requires n even.  The central rhomb has unit sides and its corner at tl
+    is gamma_{n/2} = pi - 2*theta, so its diagonals are exactly tr-bl =
+    2*cos(theta) (the near-flat axis, approaching the doubled unit segment as
+    theta -> 0) and tl-br = 2*sin(theta) (how far the outer end is pushed
+    off that axis).  Each measurement is read by that fixed role, so a rhomb
+    whose diagonals swap roles fails the check.  That push strictly raises
+    the outer end's radius from o once theta > 0, which is what keeps every
+    chord of C(r) within the zone short of length 2.  ``profile`` is
     the zone's ``beta_profile``: the chords are measured at the limits on the
     event intervals that meet the central rhomb's radius range, each 2 r
     sin(beta / 2), as beta <= pi (see ``beta_profile``).  At theta = 0
@@ -232,18 +217,9 @@ def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
     if n % 2 != 0:
         raise ValueError("the central rhomb exists only for n even")
     theta = zone.theta
-    quad = zone.corners[n // 2 - 1]
-    tl, tr, br, bl = quad
-    pairs = ((tl, br), (tr, bl))
-    lengths = [math.dist(p, q) for p, q in pairs]
-    axis_idx = min((0, 1), key=lambda i: abs(lengths[i] - 2.0 * math.cos(theta)))
-    axis_d = lengths[axis_idx]
-    cross_d = lengths[1 - axis_idx]
-    ra, rb = sorted(math.hypot(*p) for p in pairs[axis_idx])
-
-    corner = _corner_angle(tr, tl, bl)
-    if abs(math.pi - corner - 2.0 * theta) < abs(corner - 2.0 * theta):
-        corner = math.pi - corner
+    tl, tr, br, bl = zone.corners[n // 2 - 1]
+    ra, rb = sorted((math.hypot(*tr), math.hypot(*bl)))
+    corner = math.pi - _corner_angle(tr, tl, bl)
 
     lo, hi = zone.radius_ranges[n // 2 - 1]
     worst = max(
@@ -260,7 +236,9 @@ def flat_rhomb_check(zone: PlanarZone, profile: list[Limit]) -> FlatRhombReport:
             ),
             0.0,
         )
-    return FlatRhombReport(corner, axis_d, cross_d, rb - ra, worst, chord_corner)
+    return FlatRhombReport(
+        corner, math.dist(tr, bl), math.dist(tl, br), rb - ra, worst, chord_corner
+    )
 
 
 def _corner_angle(u, v, w) -> float:

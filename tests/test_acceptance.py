@@ -133,7 +133,7 @@ def test_05_flat_rhomb_angle_and_chord_bound():
 
 
 def test_06a_diagonal_offsets_all_negative():
-    """(16, 20 deg): every candidate diagonal's bisector passes below o."""
+    """(16, 20 deg): both diagonals' bisectors pass below o in every rhomb beyond R_1."""
     offsets = diagonal_perpendicular_test(planar_zone(16, math.radians(20)))
     assert len(offsets) == 14
     assert all(off < 0.0 for off in offsets)

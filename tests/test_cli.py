@@ -245,7 +245,7 @@ class TestVerify:
             (["-n", "16", "--theta", "0"],
              "c3cff12ca789b1a54a31bb96be9100155a99d509248b47f3a1f01a92a1aeca07"),
             (["-n", "16", "--theta", "20"],
-             "d5dc88d4771543042821dad6e4f85e71af299e5a07229850befb8e11daeccbb9"),
+             "49962da991506e52f3b232ef9475b834c6f0f0f9a1b0cbbbc37abdd3f6eab12d"),
         ),
         ids=["3-0", "9-0", "16-0", "16-20"],
     )

@@ -68,18 +68,36 @@ def _key(line: str) -> str:
     return " ".join(line.split()[:2])
 
 
+def _what_moved(pairs: list[tuple[str, str]]) -> str:
+    """One line: how many lines moved in each field, and how many check
+    verdicts moved, over the (pinned, now) line pairs."""
+    counts: dict[str, int] = {}
+    verdicts = 0
+    for old, new in pairs:
+        a = dict(field.split("=", 1) for field in old.split())
+        b = dict(field.split("=", 1) for field in new.split())
+        for name in dict.fromkeys([*a, *b]):
+            x, y = a.get(name), b.get(name)
+            if x != y:
+                counts[name] = counts.get(name, 0) + 1
+                # a check's value is its verdict, a colon and its margin
+                if x and y and x[:5] in ("pass:", "fail:"):
+                    verdicts += x[:4] != y[:4]
+    fields = ", ".join(f"{name}: {count}" for name, count in counts.items())
+    return f"{fields}; {verdicts} check verdicts moved"
+
+
 def test_outputs_match_the_golden_file():
     """Every grid cell's outputs keep their bytes; a failure lists each moved
     cell with its pinned and its new line."""
     pinned = GOLDEN.read_text().splitlines()
     now = golden_lines()
     assert len(now) == len(pinned) == 30 * 16 + 1
-    moved = [
-        f"{_key(old)}\n  pinned: {old}\n  now:    {new}"
-        for old, new in zip(pinned, now)
-        if old != new
-    ]
-    assert not moved, f"{len(moved)} of {len(now)} lines moved:\n" + "\n".join(moved)
+    pairs = [(old, new) for old, new in zip(pinned, now) if old != new]
+    moved = [f"{_key(old)}\n  pinned: {old}\n  now:    {new}" for old, new in pairs]
+    assert not moved, (
+        f"{_what_moved(pairs)}\n{len(moved)} of {len(now)} lines moved:\n" + "\n".join(moved)
+    )
 
 
 if __name__ == "__main__":

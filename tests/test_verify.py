@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 import reference
 from hypothesis import given, settings
@@ -343,7 +344,31 @@ class TestSubtendedAngles:
         assert sampled == pytest.approx(betas[min(2, n - 2)], abs=1e-6)
 
 
+def _sixty_digit_offsets(n, theta):
+    """``diagonal_perpendicular_test`` at 60 digits, at the float theta:
+    gamma_k in ``rhomb_angle``'s atan2 half-angle form and the left chain
+    summed in mpmath.  R_k's corner tl is the chain's vertex k - 1, its
+    tl-br line has slope -tan(gamma_k / 2) and its tr-bl line is
+    perpendicular to it."""
+    with mp.workdps(60):
+        t = mp.mpf(theta)
+        x = y = mp.mpf(0)
+        out = []
+        for k in range(1, n):
+            phi = mp.pi * min(k, n - k) / n
+            s = mp.sin(phi)
+            h = mp.atan2(mp.cos(t) * s, mp.hypot(mp.cos(phi), mp.sin(t) * s))
+            if k > 1:
+                out.append(max(y + x * mp.tan(h), y - (x + 1) / mp.tan(h)))
+            x, y = x + mp.cos(2 * h), y - mp.sin(2 * h)
+        return out
+
+
 class TestDiagonalPerpendicular:
+    """For each rhomb beyond R_1, the larger of the heights where its two
+    diagonal lines (each the other's perpendicular bisector) cross the
+    vertical line through o; both pass below o when it is negative."""
+
     def test_all_offsets_negative_at_16_20(self):
         offsets = diagonal_perpendicular_test(planar_zone(16, math.radians(20)))
         assert len(offsets) == 14
@@ -363,16 +388,34 @@ class TestDiagonalPerpendicular:
         off = diagonal_perpendicular_test(planar_zone(16, math.radians(1.0)))[0]
         assert -1e-5 < off < -1e-7
 
-    @pytest.mark.parametrize("n,k", [(6, 1), (16, 6)])
-    def test_near_horizontal_diagonal_reads_unresolved(self, n, k):
-        """At theta = 1e-16 rad the collapsed central rhomb's candidate
-        diagonal is horizontal up to rounding: dy is -2.2e-16 at n = 6 and
-        exactly 0 at n = 16, with |mx| below 4e-16.  Its bisector is too near
-        the vertical line through o to give a sign, so the offset reads 0.0,
-        which fails the strict rule.  Without ``HORIZONTAL_DY`` the formula
-        reads +1.768 at n = 6, where the true offset is -1.732, and divides
-        by zero at n = 16; without ``ON_AXIS_X`` both read -inf, a pass."""
-        assert diagonal_perpendicular_test(planar_zone(n, 1e-16))[k] == 0.0
+    @pytest.mark.parametrize(
+        "n,theta_deg",
+        [(8, 89.999999), (16, 89.999999), (32, 89.99999), (5, 89.999999), (16, 20.0), (64, 60.0)],
+    )
+    def test_offsets_match_sixty_digits(self, n, theta_deg):
+        """Every offset is within 1e-12 relative of its 60-digit value, also
+        where the rhombs flatten near theta = 90 deg and the offsets shrink
+        to about 1e-9."""
+        theta = math.radians(theta_deg)
+        got = diagonal_perpendicular_test(planar_zone(n, theta))
+        for off, exact in zip(got, _sixty_digit_offsets(n, theta), strict=True):
+            assert abs(off - exact) <= 1e-12 * abs(exact), (off, exact)
+
+    def test_flat_cell_fails_on_its_radial_lift_alone(self):
+        """At (8, 89.999999 deg) the diagonals pass; flat_rhomb's radial lift
+        is still below STRICT_MARGIN."""
+        rep = run_verification(8, math.radians(89.999999), check_overlap=False)
+        assert rep.failures() == ["flat_rhomb"]
+
+    def test_shifted_r2_reads_its_tr_bl_line(self):
+        """R_2 shifted by (-3, 0) at (16, 20 deg): its tr-bl line crosses the
+        vertical through o at about +2.41, above o, while its tl-br line
+        stays below."""
+        zone = planar_zone(16, math.radians(20))
+        quads = list(zone.corners)
+        quads[1] = tuple((x - 3.0, y) for x, y in quads[1])
+        bad = PlanarZone(zone.n, zone.theta, zone.alpha, tuple(quads))
+        assert diagonal_perpendicular_test(bad)[0] > 0.0
 
     def test_upper_half_offsets_vanish_as_theta_to_zero(self):
         zone = planar_zone(16, 1e-6)
@@ -389,7 +432,7 @@ def flat_rhomb(n, theta):
 
 
 class TestFlatRhomb:
-    @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0, 45.0, 50.0])
     def test_corner_angle_is_two_theta(self, theta_deg):
         theta = math.radians(theta_deg)
         fr = flat_rhomb(16, theta)
@@ -403,7 +446,7 @@ class TestFlatRhomb:
         scale with theta."""
         assert abs(flat_rhomb(n, theta).corner_angle - 2 * theta) <= 1e-15
 
-    @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("theta_deg", [0.5, 1.0, 5.0, 45.0])
     def test_diagonals_are_exact(self, theta_deg):
         theta = math.radians(theta_deg)
         fr = flat_rhomb(12, theta)
@@ -705,6 +748,19 @@ def _last_zone_too_far(n, theta):
     return Net(n, theta, net.alpha, tuple(zones))
 
 
+def _swap_central_diagonals(k, theta):
+    """The central rhomb R_{k+1} with its left side at -2 theta instead of
+    -(pi - 2 theta): its corner at tl becomes 2 theta, so its tr-bl and
+    tl-br diagonals swap lengths."""
+
+    def edit(corners, alpha):
+        tl, tr = corners[k][:2]
+        bl = (tl[0] + math.cos(2 * theta), tl[1] - math.sin(2 * theta))
+        corners[k] = [tl, tr, (bl[0] + 1.0, bl[1]), bl]
+
+    return edit
+
+
 class TestFaultInjection:
     """A geometric fault in the developed zone trips exactly the named check.
 
@@ -718,6 +774,13 @@ class TestFaultInjection:
     def test_fault_trips_only_its_check(self, monkeypatch, check, n, theta_deg, edit):
         rep = _faulty_report(monkeypatch, n, theta_deg, edit)
         assert rep.failures() == [check]
+
+    def test_swapped_central_diagonals_trip_flat_rhomb(self, monkeypatch):
+        """flat_rhomb reads each diagonal and the corner by its role, so a
+        central rhomb whose diagonals swap roles fails it; the rest of the
+        zone no longer meets that rhomb, so other checks trip too."""
+        fault = _swap_central_diagonals(7, math.radians(60.0))
+        assert "flat_rhomb" in _faulty_report(monkeypatch, 16, 60.0, fault).failures()
 
     @pytest.mark.parametrize(
         "make,theta", [(_orbit_short_of_alpha, 0.3), (_last_zone_too_far, 0.0)]
