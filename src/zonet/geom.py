@@ -1,6 +1,9 @@
 """Planar primitives: angles, circle crossings, exact overlap.
 
-Angles are radians everywhere, normalized to [0, 2*pi).  Lengths are in
+Angles are radians.  A direction from the origin (the pole image o) is
+``math.atan2(y, x) % TWO_PI or TWO_PI``, in (0, 2*pi]: a developed zone
+lies below o, so every zone point but o has its direction in (pi, 2*pi],
+and no arc of directions within a zone wraps past 2*pi.  Lengths are in
 rhomb-edge units.  ``circle_quad_arcs`` spans the crossings of a circle
 about the origin with a set of edges, each labelled with its edge's
 coefficients and root branch, and ``crossing_angle`` follows a labelled
@@ -44,36 +47,9 @@ EdgeRow = tuple[float, float, float, float, float, float, float, float]
 #: an edge as ``(lo, hi, row)``: its range [lo, hi] of distances from the
 #: origin and its ``EdgeRow``
 Edge = tuple[float, float, EdgeRow]
-#: a circle crossing: its angle on the circle where it was found, the
-#: ``EdgeRow`` of its edge and the root branch (-1.0 or +1.0) of the row's
-#: quadratic; the angle picks the turn of the crossing's angle on other
-#: circles
-Crossing = tuple[float, EdgeRow, float]
-
-
-def normalize_angle(a: float) -> float:
-    """Map an angle to [0, 2*pi)."""
-    a = math.fmod(a, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    if a >= TWO_PI:  # fmod can round up to 2*pi
-        a -= TWO_PI
-    return a
-
-
-def covering_arc_of_angles(angles: Sequence[float]) -> tuple[float, float] | None:
-    """(start, length) of the shortest CCW arc covering a finite set of
-    directions (max-gap rule); start is in [0, 2*pi), None for no directions."""
-    if not angles:
-        return None
-    srt = sorted(normalize_angle(a) for a in angles)
-    if len(srt) == 1:
-        return srt[0], 0.0
-    start, max_gap = srt[0], srt[0] + TWO_PI - srt[-1]
-    for a, b in zip(srt, srt[1:]):
-        if b - a > max_gap:
-            start, max_gap = b, b - a
-    return start, TWO_PI - max_gap
+#: a circle crossing: the ``EdgeRow`` of its edge and the root branch (-1.0
+#: or +1.0) of the row's quadratic
+Crossing = tuple[EdgeRow, float]
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +138,14 @@ def circle_quad_arcs(
     its largest crossing with ``edges``, as (start, end, start crossing, end
     crossing); None where C(r) crosses no edge.
 
-    The circle is about the origin, and each crossing's angle lies in (0, 2
-    pi]: one at angle 0 reads 2 pi.  For a region in the lower half-plane
-    whose boundary is ``edges``, every arc of C(r) inside it lies in the
-    directions [pi, 2 pi], and where C(r) passes no vertex and grazes no
-    edge every crossing is an arc end, so this is the shortest arc covering
-    C(r) within the region, and no point is tested for membership.  Each
-    edge's distance range is bisected into the radii, so an edge is solved
-    only at the radii where C(r) can meet it.
+    The circle is about the origin, and each crossing's angle is its
+    direction, in (0, 2 pi]: one at angle 0 reads 2 pi.  For a region in
+    the lower half-plane whose boundary is ``edges``, every arc of C(r)
+    inside it lies in the directions [pi, 2 pi], and where C(r) passes no
+    vertex and grazes no edge every crossing is an arc end, so this is the
+    shortest arc covering C(r) within the region, and no point is tested
+    for membership.  Each edge's distance range is bisected into the radii,
+    so an edge is solved only at the radii where C(r) can meet it.
 
     The name is the per-rhomb kernel's that this replaced: the benchmark's
     tracer looks the function up under it in ``verify``, and the rename
@@ -191,9 +167,9 @@ def circle_quad_arcs(
                 if 0.0 <= t <= 1.0:
                     angle = math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI or TWO_PI
                     if angle < starts[k]:
-                        starts[k], start_at[k] = angle, (angle, row, branch)
+                        starts[k], start_at[k] = angle, (row, branch)
                     if angle > ends[k]:
-                        ends[k], end_at[k] = angle, (angle, row, branch)
+                        ends[k], end_at[k] = angle, (row, branch)
     return [
         None if s == math.inf else (s, e, s_at, e_at)
         for s, e, s_at, e_at in zip(starts, ends, start_at, end_at)
@@ -204,29 +180,19 @@ def crossing_angle(r: float, crossing: Crossing) -> float:
     """The angle at which C(r) meets the edge root labelled ``crossing``.
 
     The same closed form as ``circle_quad_arcs``: t = (-b +- sqrt(disc)) /
-    2a on the labelled branch, then the direction of the edge point, taken
-    within pi of the crossing's labelled angle.  The root moves along its
-    edge, which subtends less than pi at the origin, so that picks the turn
-    of a crossing followed from the circle where it was labelled: an arc
-    end that wraps past 2 pi stays there, and a crossing that reaches the
-    positive x axis from below reads 2 pi, not 0.  Here the discriminant is
-    clamped at 0 and t onto [0, 1], so at an event radius, where the
-    crossing grazes the edge or reaches one of its ends, the angle is its
-    limit from the circles where the crossing exists.
+    2a on the labelled branch, then the direction of the edge point.  Here
+    the discriminant is clamped at 0 and t onto [0, 1], so at an event
+    radius, where the crossing grazes the edge or reaches one of its ends,
+    the angle is its limit from the circles where the crossing exists.
     """
-    near, (x0, y0, dx, dy, a, b, cc, a2), branch = crossing
+    (x0, y0, dx, dy, a, b, cc, a2), branch = crossing
     disc = b * b - 4.0 * a * (cc - r * r)
     t = (-b + branch * math.sqrt(disc)) / a2 if disc > 0.0 else -b / a2
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
         t = 1.0
-    angle = math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI
-    if angle - near > math.pi:
-        return angle - TWO_PI
-    if near - angle > math.pi:
-        return angle + TWO_PI
-    return angle
+    return math.atan2(y0 + t * dy, x0 + t * dx) % TWO_PI or TWO_PI
 
 
 # ---------------------------------------------------------------------------

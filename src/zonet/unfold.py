@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import Edge, Point2, covering_arc_of_angles, edge
+from .geom import TWO_PI, Edge, Point2, edge
 from .zonohedron import Params, rhomb_angle
 from .zonohedron import build  # noqa: F401  perfbench's tracer patches this name
 
@@ -84,17 +84,15 @@ class PlanarZone:
         that it covers.
 
         The rhombs are convex and o lies outside each of them except for
-        the corner of R_1 at o itself, so the arc is the covering arc of
-        the corner directions; corners at o contribute no direction of
-        their own.
+        the corner of R_1 at o itself, so the arc runs from the smallest to
+        the largest corner direction; corners at o contribute no direction
+        of their own.  Every direction lies in (pi, 2 pi] (see ``geom``), so
+        no arc wraps, and the length is an exact float difference.
         """
         out = []
         for quad in self.corners:
-            arc = covering_arc_of_angles(
-                [math.atan2(p[1], p[0]) for p in quad if p != (0.0, 0.0)]
-            )
-            assert arc is not None
-            out.append(arc)
+            ds = [math.atan2(y, x) % TWO_PI or TWO_PI for x, y in quad if x or y]
+            out.append((min(ds), max(ds) - min(ds)))
         return tuple(out)
 
     def half_split(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:

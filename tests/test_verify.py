@@ -17,7 +17,7 @@ from reference import (
 
 from zonet import verify
 from zonet.cli import DEFAULT_THETAS, parse_theta
-from zonet.geom import circle_quad_arcs, polygons_interior_overlap
+from zonet.geom import TWO_PI, circle_quad_arcs, polygons_interior_overlap
 from zonet.unfold import Net, PlanarZone, assemble_net, planar_zone
 from zonet.verify import (
     Limit,
@@ -101,13 +101,19 @@ class TestZoneBelowPole:
     @settings(max_examples=80, deadline=None)
     def test_every_arc_lies_in_the_lower_half_plane(self, n, theta, pick):
         """Every corner has y <= 0, with y = 0 only at o and (1, 0), the
-        ends of R_1's pole-side edge; every arc is within [pi, 2 pi].  The
-        radius is a share of the zone's farthest corner distance (a float
-        pick) or an event or kernel radius (an integer pick)."""
+        ends of R_1's pole-side edge; every arc of C(r) is within [pi, 2
+        pi], and every rhomb's ``direction_arcs`` entry within (pi, 2 pi],
+        starting at its smallest corner direction.  The radius is a share
+        of the zone's farthest corner distance (a float pick) or an event
+        or kernel radius (an integer pick)."""
         zone = planar_zone(n, theta)
         for k, quad in enumerate(zone.corners):
             for j, (_, y) in enumerate(quad):
                 assert y < 0.0 or (y == 0.0 and k == 0 and j < 2), (k, j, y)
+        for quad, (start, length) in zip(zone.corners, zone.direction_arcs):
+            assert math.pi < start and start + length <= TWO_PI, (quad, start, length)
+            ds = [math.atan2(y, x) % TWO_PI or TWO_PI for x, y in quad if x or y]
+            assert start == min(ds), (quad, start)
         if isinstance(pick, int):
             events = critical_radii(zone)
             radii = sorted(events + kernel_radii(events))
@@ -324,10 +330,9 @@ class TestSubtendedAngles:
     @given(st.integers(4, 24), st.floats(0.05, 1.4))
     @settings(max_examples=40, deadline=None)
     def test_matches_boundary_point_sampling(self, n, theta):
-        """Covering arc of corner directions equals the arc over dense
-        boundary points: the rhombs are convex so corners are extremal."""
-        from zonet.geom import covering_arc_of_angles
-
+        """The arc from the smallest to the largest corner direction equals
+        the arc over dense boundary points: the rhombs are convex so corners
+        are extremal, and no direction of a zone point wraps past 2 pi."""
         zone = planar_zone(n, theta)
         betas = rhomb_subtended_angles(zone)
         quad = zone.corners[min(2, n - 2)]
@@ -338,10 +343,8 @@ class TestSubtendedAngles:
             for j in range(m):
                 t = j / m
                 pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        _, sampled = covering_arc_of_angles(
-            [math.atan2(y, x) for x, y in pts if math.hypot(x, y) > 1e-12]
-        )
-        assert sampled == pytest.approx(betas[min(2, n - 2)], abs=1e-6)
+        ds = [math.atan2(y, x) % TWO_PI or TWO_PI for x, y in pts if math.hypot(x, y) > 1e-12]
+        assert max(ds) - min(ds) == pytest.approx(betas[min(2, n - 2)], abs=1e-6)
 
 
 def _sixty_digit_offsets(n, theta):
