@@ -365,6 +365,97 @@ class TestRadiusRanges:
                     assert abs(hi - exact_hi) <= math.ulp(hi), (n, quad)
 
 
+def direction(x, y):
+    """The direction of (x, y) from o, in (0, 2 pi] (see ``geom``)."""
+    return math.atan2(y, x) % geom.TWO_PI or geom.TWO_PI
+
+
+class TestDirectionArcs:
+    """``direction_arcs``: per rhomb, the arc from its smallest to its
+    largest corner direction, every direction in (pi, 2 pi]."""
+
+    ULP = math.ulp(geom.TWO_PI)
+
+    @pytest.mark.parametrize(
+        "ns,theta",
+        [
+            pytest.param(range(3, 17), "0,20,37.3,89.5,1e-6rad,1e-12rad", id="n3..16"),
+            pytest.param((32,), "20", id="n32-20"),
+        ],
+    )
+    def test_within_two_ulps_of_exact_directions(self, ns, theta):
+        """Start and length agree with the corner directions taken at
+        mpmath's working precision to two ulps of 2 pi: atan2 and the turn
+        up by 2 pi round once each, and the length is an exact difference."""
+        for t in theta.split(","):
+            for n in ns:
+                zone = planar_zone(n, parse_theta(t))
+                for quad, (start, length) in zip(zone.corners, zone.direction_arcs):
+                    with mp.workdps(50):
+                        ds = [
+                            mp.atan2(mp.mpf(y), mp.mpf(x)) % (2 * mp.pi) or 2 * mp.pi
+                            for x, y in quad
+                            if x or y
+                        ]
+                        assert abs(start - min(ds)) <= 2 * self.ULP, (n, t, quad)
+                        assert abs(length - (max(ds) - min(ds))) <= 2 * self.ULP, (n, t, quad)
+
+    @given(st.integers(3, 40), st.floats(0.0, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_first_rhomb_ends_at_two_pi_and_spans_alpha(self, n, theta):
+        """R_1's pole-side edge runs from o along direction 2 pi, so its arc
+        ends there exactly, and it spans its own corner angle alpha at o."""
+        zone = planar_zone(n, theta)
+        start, length = zone.direction_arcs[0]
+        assert start + length == geom.TWO_PI
+        assert abs(length - zone.alpha) <= 2 * self.ULP, (n, theta, length)
+
+    @given(
+        st.integers(3, 24),
+        st.floats(0.0, 1.5),
+        st.integers(0, 22),
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_point_of_a_rhomb_lies_in_its_arc(self, n, theta, pick, weights):
+        """A convex combination of a rhomb's corners other than o has its
+        direction within the rhomb's arc."""
+        zone = planar_zone(n, theta)
+        k = pick % (n - 1)
+        quad, (start, length) = zone.corners[k], zone.direction_arcs[k]
+        total = sum(weights)
+        x = sum(w * px for w, (px, _) in zip(weights, quad)) / total
+        y = sum(w * py for w, (_, py) in zip(weights, quad)) / total
+        if x or y:
+            d = direction(x, y)
+            assert start - 1e-12 <= d <= start + length + 1e-12, (n, theta, k, d)
+
+    @pytest.mark.parametrize("theta", ["0", "20", "89.5", "1e-12rad"])
+    def test_adjacent_rhombs_overlap_on_their_shared_edge(self, theta):
+        """Consecutive rhombs share an edge with the same float corners, so
+        both arcs hold that edge's two corner directions exactly."""
+        for n in range(3, 33):
+            zone = planar_zone(n, parse_theta(theta))
+            for k in range(n - 2):
+                shared = set(zone.corners[k]) & set(zone.corners[k + 1])
+                assert len(shared) == 2, (n, theta, k)
+                for start, length in zone.direction_arcs[k : k + 2]:
+                    for p in shared:
+                        if p != (0.0, 0.0):
+                            assert start <= direction(*p) <= start + length, (n, k, p)
+
+    def test_upper_rhombs_at_theta_zero_span_alpha(self):
+        """At theta = 0 every rhomb of the upper half has two corners on the
+        circle through o at the ends of a chord seen under alpha, so its arc
+        is alpha to two ulps of 2 pi."""
+        for n in range(3, 65):
+            zone = planar_zone(n, 0.0)
+            upper, _, _ = zone.half_split()
+            for k in upper:
+                length = zone.direction_arcs[k][1]
+                assert abs(length - zone.alpha) <= 2 * self.ULP, (n, k, length)
+
+
 class TestNet:
     def test_corner_array_and_zones_agree(self):
         """Both views of one net hold the same bits, whichever it was built from."""
